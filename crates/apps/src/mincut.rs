@@ -25,7 +25,7 @@
 //! MST-via-shortcuts computation plus one partwise aggregation for the
 //! subtree sums (`Õ(k_D)` each); the `O(n²)` 2-respecting scan is
 //! evaluated centrally with its round cost charged per GH16's
-//! distributed implementation — see DESIGN.md (substitutions).
+//! distributed implementation — see the README's Substitutions section.
 
 use crate::mst::{mst_via_shortcuts, MstConfig, MstError};
 use lcs_congest::{ceil_log2, FaultPlan, SimError};

@@ -21,7 +21,8 @@
 //!   scheduler theorem from measured tree congestion/dilation.
 //!
 //! Fragment-merge bookkeeping (leader relabeling) is charged as one
-//! extra aggregation sweep per phase (see DESIGN.md substitutions).
+//! extra aggregation sweep per phase (see the README's Substitutions
+//! section).
 
 use lcs_congest::{AggOp, ExecutionMode, FaultPlan, Session, SimConfig, SimError};
 use lcs_core::{

@@ -5,8 +5,8 @@
 //! needs as many rounds as the shortest-path **hop** diameter, which can
 //! be `Θ(n)` even when the unweighted diameter is `O(1)`. The paper's
 //! Corollary 4.2 plugs the shortcuts into Haeupler–Li's machinery; the
-//! full hopset construction is out of scope (see DESIGN.md
-//! substitutions). What we build instead isolates the primitive the
+//! full hopset construction is out of scope (see the README's
+//! Substitutions section). What we build instead isolates the primitive the
 //! corollary relies on: interleaving Bellman–Ford edge relaxations with
 //! **partwise tree relaxations** — each part tree broadcasts
 //! `A_i = min_{v∈S_i}(dist(v) + wdepth_i(v))` and every member updates

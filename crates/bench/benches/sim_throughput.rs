@@ -16,12 +16,9 @@ fn bench_engine_message_path(c: &mut Criterion) {
     let g = generators::grid(40, 40);
     c.bench_function("engine_saturate_n1600", |b| {
         b.iter(|| {
-            lcs_congest::run(
-                &g,
-                (0..g.n()).map(|_| Saturate::new(30)).collect::<Vec<_>>(),
-                &SimConfig::default(),
-            )
-            .unwrap()
+            Session::new(&g, SimConfig::default())
+                .run(Saturate::new(30))
+                .unwrap()
         })
     });
 }
@@ -77,11 +74,8 @@ fn bench_pool_round_overhead(c: &mut Criterion) {
         };
         group.bench_with_input(BenchmarkId::from_parameter(shards), &cfg, |b, cfg| {
             b.iter(|| {
-                let nodes = (0..g.n())
-                    .map(|v| Clock::new(if v == 0 { 100 } else { 0 }))
-                    .collect::<Vec<_>>();
-                let out = lcs_congest::run(&g, nodes, cfg).unwrap();
-                assert_eq!(out.stats.rounds, 100);
+                let stats = Session::new(&g, cfg.clone()).run(Clock::new(100)).unwrap();
+                assert_eq!(stats.rounds, 100);
             })
         });
     }

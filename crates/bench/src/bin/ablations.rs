@@ -1,4 +1,5 @@
-//! Ablations for the design choices called out in DESIGN.md §6:
+//! Ablations for the construction knobs listed in the README's
+//! Substitutions section:
 //!
 //! * repetition count (`D` independent repetitions vs 1 boosted one);
 //! * sampling-probability constant;

@@ -2,8 +2,8 @@
 //!
 //! SSSP: iterations/rounds of the shortcut-accelerated relaxation vs
 //! plain distributed Bellman–Ford, plus realized stretch (our substitute
-//! mechanism, see DESIGN.md). 2-ECSS: weight vs the MST lower bound and
-//! validity.
+//! mechanism, see the README's Substitutions section). 2-ECSS: weight vs
+//! the MST lower bound and validity.
 
 use lcs_apps::{bellman_ford_rounds, shortcut_sssp, two_ecss, verify_two_ecss, MstConfig};
 use lcs_bench::{f3, highway_workload, BenchArgs, Table};

@@ -5,7 +5,7 @@
 //! `BENCH_sim.json` so the engine's perf trajectory is tracked per-PR.
 //!
 //! Usage: `sim_throughput [--quick] [--shards K[,K2,...]] [--reps N]
-//! [--out PATH]`
+//! [--instances N] [--out PATH] [--check PATH] [--help]`
 //!
 //! `--quick` shrinks the workloads to CI scale. `--shards` takes a
 //! comma-separated sweep of shard counts (e.g. `--shards 1,2,4,8`);
@@ -17,11 +17,19 @@
 //! run aborts. For every workload the run records a
 //! [`RunStats::fingerprint`] and a speedup relative to the 1-shard
 //! baseline, and **exits nonzero if any sharded run's statistics
-//! diverge from the sequential run's** — CI runs `--quick --shards
-//! 1,4` and relies on that exit code as the shard determinism gate
-//! (the gate covers the event-driven active-set engine's sparsest
-//! workloads — `idle` and `sparse_bfs` — alongside the dense ones, so
-//! an active-set scheduling divergence fails the build).
+//! diverge from the sequential run's** (the gate covers the
+//! event-driven active-set engine's sparsest workloads — `idle` and
+//! `sparse_bfs` — alongside the dense ones, so an active-set
+//! scheduling divergence fails the build).
+//!
+//! `--check PATH` also compares every workload's 1-shard
+//! `stats_fingerprint`, and its per-phase fingerprints, against a
+//! previously written `BENCH_sim.json`, and exits nonzero on any
+//! difference — so a change that moves every shard count the same way
+//! is caught too. A checking run writes a file only when `--out` is
+//! given. CI runs `--quick --shards 1,4 --check BENCH_sim.json` as the
+//! simulator's determinism and fingerprint gate. An unknown flag or a
+//! malformed value prints the accepted flags and exits 2.
 //!
 //! Two workloads run at **large scale** — `large_bfs` and
 //! `large_flood` on a 10⁶-node grid (40 000 nodes under `--quick`, so
@@ -30,9 +38,10 @@
 //! the shortcut-quality experiments need.
 
 use lcs_bench::sim_workloads::{multi_bfs_spec, Clock, Saturate};
+use lcs_bench::ArgsError;
 use lcs_congest::{
-    positions_from_tree, run, AggOp, Bfs, MultiAggregate, MultiBfs, NodeAlgorithm, Participation,
-    RoundCtx, RunStats, Session, SimConfig, TreeAggregate,
+    positions_from_tree, AggOp, Bfs, MultiAggregate, MultiBfs, Participation, Protocol, RoundCtx,
+    RunStats, Session, SimConfig, TreeAggregate,
 };
 use lcs_graph::{generators, Graph};
 use std::time::Instant;
@@ -40,30 +49,40 @@ use std::time::Instant;
 /// Flood protocol (same shape as the engine's own smoke test): node 0
 /// fires a token that everyone forwards once. Message-light, round-heavy
 /// — measures per-round engine overhead.
-#[derive(Debug, Default)]
-struct Flood {
-    seen: bool,
-    fired: bool,
-}
+struct Flood;
 
-impl NodeAlgorithm for Flood {
+/// One [`Flood`] node: `(seen, fired)`.
+type FloodNode = (bool, bool);
+
+impl Protocol for Flood {
     type Msg = u32;
-    fn round(&mut self, ctx: &mut RoundCtx<'_, u32>) {
+    type State = FloodNode;
+    type Output = RunStats;
+    fn label(&self) -> &str {
+        "flood"
+    }
+    fn init(&mut self, graph: &Graph) -> Vec<FloodNode> {
+        vec![(false, false); graph.n()]
+    }
+    fn round(&self, (seen, fired): &mut FloodNode, ctx: &mut RoundCtx<'_, u32>) {
         if ctx.round() == 0 && ctx.node() == 0 {
-            self.seen = true;
+            *seen = true;
         }
-        if !self.seen && !ctx.inbox().is_empty() {
-            self.seen = true;
+        if !*seen && !ctx.inbox().is_empty() {
+            *seen = true;
         }
-        if self.seen && !self.fired {
-            self.fired = true;
+        if *seen && !*fired {
+            *fired = true;
             for i in 0..ctx.degree() {
                 ctx.send(ctx.neighbors()[i], 1);
             }
         }
     }
-    fn halted(&self) -> bool {
-        self.fired || !self.seen
+    fn halted(&self, &(seen, fired): &FloodNode) -> bool {
+        fired || !seen
+    }
+    fn finish(self, _: &Graph, _: Vec<FloodNode>, stats: &RunStats) -> RunStats {
+        stats.clone()
     }
 }
 
@@ -157,13 +176,10 @@ fn cfg_with(shards: usize, max_rounds: u64) -> SimConfig {
 
 fn bench_flood(name: &str, g: &Graph, shards: usize) -> Measurement {
     let t = Instant::now();
-    let out = run(
-        g,
-        (0..g.n()).map(|_| Flood::default()).collect(),
-        &cfg_with(shards, 1_000_000),
-    )
-    .expect("flood");
-    Measurement::from_stats(name, g, shards, &out.stats, t.elapsed().as_secs_f64())
+    let stats = Session::new(g, cfg_with(shards, 1_000_000))
+        .run(Flood)
+        .expect("flood");
+    Measurement::from_stats(name, g, shards, &stats, t.elapsed().as_secs_f64())
 }
 
 /// Single-source BFS on the large grid: the scale workload. Frontier
@@ -271,13 +287,12 @@ fn bench_session_pipeline(g: &Graph, shards: usize) -> Measurement {
 /// the barrier per round at shards > 1.)
 fn bench_idle(g: &Graph, rounds: u64, shards: usize) -> Measurement {
     let t = Instant::now();
-    let nodes = (0..g.n())
-        .map(|v| Clock::new(if v == 0 { rounds } else { 0 }))
-        .collect();
-    let out = run(g, nodes, &cfg_with(shards, rounds + 10)).expect("idle");
-    assert_eq!(out.stats.rounds, rounds);
-    assert_eq!(out.stats.messages, 0);
-    Measurement::from_stats("idle", g, shards, &out.stats, t.elapsed().as_secs_f64())
+    let stats = Session::new(g, cfg_with(shards, rounds + 10))
+        .run(Clock::new(rounds))
+        .expect("idle");
+    assert_eq!(stats.rounds, rounds);
+    assert_eq!(stats.messages, 0);
+    Measurement::from_stats("idle", g, shards, &stats, t.elapsed().as_secs_f64())
 }
 
 /// Sparse-frontier workload: BFS down a long path. The frontier is 1–2
@@ -381,44 +396,144 @@ fn bench_chaos(g: &Graph, side: usize, shards: usize) -> Measurement {
 
 fn bench_saturate(g: &Graph, rounds: u64, shards: usize) -> Measurement {
     let t = Instant::now();
-    let out = run(
-        g,
-        (0..g.n()).map(|_| Saturate::new(rounds)).collect(),
-        &cfg_with(shards, 10_000_000),
-    )
-    .expect("saturate");
-    Measurement::from_stats("saturate", g, shards, &out.stats, t.elapsed().as_secs_f64())
+    let stats = Session::new(g, cfg_with(shards, 10_000_000))
+        .run(Saturate::new(rounds))
+        .expect("saturate");
+    Measurement::from_stats("saturate", g, shards, &stats, t.elapsed().as_secs_f64())
 }
 
-/// Parses `--shards 1,4` (comma-separated sweep) or `--shards 4`
-/// (shorthand for `1,4`). Shard count 1 is always included as the
-/// baseline and measured first.
-fn parse_shard_sweep(args: &[String]) -> Vec<usize> {
-    let flag = args.iter().position(|a| a == "--shards");
-    let raw = flag.and_then(|i| args.get(i + 1));
-    if flag.is_some() && raw.is_none_or(|v| v.starts_with("--")) {
-        // A bare `--shards` must not silently degrade to a 1-shard run:
-        // that would pass the determinism gate without testing anything.
-        eprintln!("sim_throughput: --shards requires a value (e.g. --shards 1,4)");
-        std::process::exit(2);
+const USAGE: &str = "usage: sim_throughput [--quick] [--shards K[,K2,...]] [--reps N] \
+                     [--instances N] [--out PATH] [--check PATH] [--help]";
+
+/// The parsed command line.
+#[derive(Debug, PartialEq, Eq)]
+struct Args {
+    quick: bool,
+    /// Shard counts to sweep, 1 first.
+    shards: Vec<usize>,
+    reps: usize,
+    /// Multi-BFS instance count override.
+    instances: Option<usize>,
+    /// Explicit output path.
+    out: Option<String>,
+    /// Committed `BENCH_sim.json` to compare fingerprints against.
+    check: Option<String>,
+}
+
+/// The value after `flag`; a missing value or another flag in its
+/// place is an error (a bare `--shards` must not silently degrade to a
+/// 1-shard run that passes the determinism gate without testing
+/// anything).
+fn flag_value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a str, ArgsError> {
+    it.next()
+        .map(String::as_str)
+        .filter(|v| !v.starts_with("--"))
+        .ok_or_else(|| ArgsError::Bad(format!("sim_throughput: {flag} requires a value")))
+}
+
+fn count_value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<usize, ArgsError> {
+    let raw = flag_value(it, flag)?;
+    match raw.parse() {
+        Ok(k) if k >= 1 => Ok(k),
+        _ => Err(ArgsError::Bad(format!(
+            "sim_throughput: {flag} needs a positive count, got {raw:?}"
+        ))),
     }
-    let mut sweep = vec![1usize];
-    if let Some(raw) = raw {
-        for piece in raw.split(',') {
-            match piece.trim().parse::<usize>() {
-                Ok(k) if k >= 1 => {
-                    if !sweep.contains(&k) {
-                        sweep.push(k);
+}
+
+/// Parses the command line (program name excluded). `--shards 1,4` is a
+/// comma-separated sweep and `--shards 4` is shorthand for `1,4`: shard
+/// count 1 is always included as the baseline and measured first.
+fn parse_args(args: &[String]) -> Result<Args, ArgsError> {
+    let mut a = Args {
+        quick: false,
+        shards: vec![1],
+        reps: 1,
+        instances: None,
+        out: None,
+        check: None,
+    };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--quick" => a.quick = true,
+            "--shards" => {
+                for piece in flag_value(&mut it, "--shards")?.split(',') {
+                    match piece.trim().parse::<usize>() {
+                        Ok(k) if k >= 1 => {
+                            if !a.shards.contains(&k) {
+                                a.shards.push(k);
+                            }
+                        }
+                        _ => {
+                            return Err(ArgsError::Bad(format!(
+                                "sim_throughput: bad --shards value {piece:?}"
+                            )))
+                        }
                     }
                 }
-                _ => {
-                    eprintln!("sim_throughput: bad --shards value {piece:?}");
-                    std::process::exit(2);
-                }
+            }
+            "--reps" => a.reps = count_value(&mut it, "--reps")?,
+            "--instances" => a.instances = Some(count_value(&mut it, "--instances")?),
+            "--out" => a.out = Some(flag_value(&mut it, "--out")?.to_string()),
+            "--check" => a.check = Some(flag_value(&mut it, "--check")?.to_string()),
+            "--help" | "-h" => return Err(ArgsError::Help),
+            other => {
+                return Err(ArgsError::Bad(format!(
+                    "sim_throughput: unknown argument {other:?}"
+                )))
             }
         }
     }
-    sweep
+    Ok(a)
+}
+
+/// The value of `"key":` in one line of a `BENCH_sim.json`, quotes
+/// stripped.
+fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let pat = format!("\"{key}\":");
+    let rest = &line[line.find(&pat)? + pat.len()..];
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    Some(rest[..end].trim().trim_matches('"'))
+}
+
+/// Every fingerprint one `BENCH_sim.json` workload line records, in
+/// order: the stats fingerprint, then one per phase.
+fn fingerprints(line: &str) -> Vec<&str> {
+    line.split("fingerprint\":\"")
+        .skip(1)
+        .filter_map(|rest| rest.split('"').next())
+        .collect()
+}
+
+/// Compares this run's 1-shard fingerprints against a committed
+/// `BENCH_sim.json`; returns one line per difference.
+fn check_fingerprints(committed: &str, all: &[Measurement]) -> Vec<String> {
+    let want: Vec<(&str, Vec<&str>)> = committed
+        .lines()
+        .filter(|line| json_field(line, "shards") == Some("1"))
+        .filter_map(|line| Some((json_field(line, "name")?, fingerprints(line))))
+        .collect();
+    let ran: Vec<&Measurement> = all.iter().filter(|m| m.shards == 1).collect();
+    let mut diffs = Vec::new();
+    for m in &ran {
+        let json = m.json();
+        let got = fingerprints(&json);
+        match want.iter().find(|(name, _)| *name == m.name) {
+            None => diffs.push(format!("{}: not in the committed file", m.name)),
+            Some((_, w)) if *w != got => diffs.push(format!(
+                "{}: fingerprints {got:?} != committed {w:?}",
+                m.name
+            )),
+            Some(_) => {}
+        }
+    }
+    for (name, _) in &want {
+        if !ran.iter().any(|m| m.name == *name) {
+            diffs.push(format!("{name}: committed but not run"));
+        }
+    }
+    diffs
 }
 
 /// Runs `f` `reps` times and keeps the median-elapsed measurement.
@@ -439,31 +554,34 @@ fn median_of(reps: usize, f: impl Fn() -> Measurement) -> Measurement {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let shard_sweep = parse_shard_sweep(&args);
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_sim.json".to_string());
-    let reps = args
-        .iter()
-        .position(|a| a == "--reps")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1usize);
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&raw).unwrap_or_else(|e| e.exit(USAGE));
+    let Args {
+        quick,
+        shards: shard_sweep,
+        reps,
+        ..
+    } = args;
+    // Read the committed file before anything can overwrite it.
+    let committed = args.check.as_ref().map(|path| {
+        let json = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("sim_throughput --check: cannot read {path}: {e}"));
+        let mode = if quick { "quick" } else { "full" };
+        let want_mode = json_field(&json, "mode").unwrap_or("?");
+        if want_mode != mode {
+            ArgsError::Bad(format!(
+                "sim_throughput: committed {path} is a \"{want_mode}\" run; \
+                 this is a \"{mode}\" run — modes must match to compare"
+            ))
+            .exit(USAGE);
+        }
+        json
+    });
 
     let side = if quick { 40 } else { 100 };
     // 10⁶ nodes at full scale; still well past any cache under --quick.
     let big_side = if quick { 200 } else { 1000 };
-    let instances = args
-        .iter()
-        .position(|a| a == "--instances")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if quick { 8 } else { 32 });
+    let instances = args.instances.unwrap_or(if quick { 8 } else { 32 });
     let g = generators::grid(side, side);
     let big = generators::grid(big_side, big_side);
 
@@ -558,13 +676,108 @@ fn main() {
         if diverged { "DIVERGED" } else { "ok" },
         body
     );
-    std::fs::write(&out_path, &json).expect("write BENCH_sim.json");
-    eprintln!("wrote {out_path}");
+    // A checking run never overwrites the file it compares against
+    // unless an output path is explicit.
+    let out_path = match (&args.out, &committed) {
+        (Some(path), _) => Some(path.as_str()),
+        (None, None) => Some("BENCH_sim.json"),
+        (None, Some(_)) => None,
+    };
+    if let Some(path) = out_path {
+        std::fs::write(path, &json).expect("write BENCH_sim.json");
+        eprintln!("wrote {path}");
+    }
     // A machine-readable copy for CI logs.
     println!("{json}");
+    let mut failed = false;
     if diverged {
         eprintln!("sim_throughput: sharded RunStats diverged from the sequential engine");
+        failed = true;
+    } else {
+        eprintln!("shard determinism check: ok");
+    }
+    if let (Some(committed), Some(path)) = (&committed, &args.check) {
+        let diffs = check_fingerprints(committed, &all);
+        for d in &diffs {
+            eprintln!("FINGERPRINT MISMATCH vs {path}: {d}");
+        }
+        if diffs.is_empty() {
+            eprintln!("fingerprint check against {path}: ok");
+        } else {
+            eprintln!("(regenerate with `sim_throughput --quick --shards 1,4 --out {path}` if intentional)");
+            failed = true;
+        }
+    }
+    if failed {
         std::process::exit(1);
     }
-    eprintln!("shard determinism check: ok");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, ArgsError> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parses_the_ci_command_line() {
+        let a = parse(&["--quick", "--shards", "4", "--check", "BENCH_sim.json"]).unwrap();
+        assert!(a.quick);
+        assert_eq!(a.shards, vec![1, 4]);
+        assert_eq!(a.reps, 1);
+        assert_eq!(a.check.as_deref(), Some("BENCH_sim.json"));
+        assert_eq!(a.out, None);
+        let a = parse(&["--shards", "2,1,8", "--reps", "3", "--instances", "5"]).unwrap();
+        assert_eq!(a.shards, vec![1, 2, 8]);
+        assert_eq!((a.reps, a.instances), (3, Some(5)));
+    }
+
+    #[test]
+    fn rejects_bad_flags_and_answers_help() {
+        assert_eq!(parse(&["--help"]), Err(ArgsError::Help));
+        for bad in [
+            &["--shards"][..],
+            &["--shards", "--quick"],
+            &["--shards", "0"],
+            &["--reps", "x"],
+            &["--check"],
+            &["--quik"],
+        ] {
+            assert!(
+                matches!(parse(bad), Err(ArgsError::Bad(_))),
+                "{bad:?} must be rejected"
+            );
+        }
+    }
+
+    #[test]
+    fn check_reads_back_what_the_bench_writes() {
+        let mut m = Measurement::from_stats(
+            "pipe",
+            &generators::path(3),
+            1,
+            &RunStats::new(&generators::path(3)),
+            1.0,
+        );
+        m.phases = vec![("bfs".into(), 3, 4, 0xAB), ("agg".into(), 5, 6, 0xCD)];
+        let mut sharded = m.clone();
+        sharded.shards = 4;
+        let json = format!(
+            "{{\n  \"mode\": \"quick\",\n    {},\n    {}\n}}",
+            m.json(),
+            sharded.json()
+        );
+        assert!(check_fingerprints(&json, &[m.clone()]).is_empty());
+        let mut moved = m.clone();
+        moved.stats_fingerprint ^= 1;
+        assert_eq!(check_fingerprints(&json, &[moved]).len(), 1);
+        let mut phase_moved = m.clone();
+        phase_moved.phases[1].3 ^= 1;
+        assert_eq!(check_fingerprints(&json, &[phase_moved]).len(), 1);
+        let mut renamed = m;
+        renamed.name = "other".into();
+        assert_eq!(check_fingerprints(&json, &[renamed]).len(), 2);
+    }
 }

@@ -116,8 +116,36 @@ pub fn highway_workload(n_target: usize, diameter: u32) -> (HighwayGraph, Partit
     (hw, partition)
 }
 
-/// Parses `--quick` / `--trace` style flags from `std::env::args`.
-#[derive(Debug, Clone, Default)]
+/// Why a command line was not accepted.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ArgsError {
+    /// `--help` / `-h`: print the accepted flags and exit 0.
+    Help,
+    /// An unknown flag or a malformed value: print the reason plus the
+    /// accepted flags and exit 2.
+    Bad(String),
+}
+
+impl ArgsError {
+    /// Prints `usage` (after the reason, for a bad command line) and
+    /// exits: status 0 for `--help`, 2 otherwise.
+    pub fn exit(self, usage: &str) -> ! {
+        match self {
+            ArgsError::Help => {
+                println!("{usage}");
+                std::process::exit(0)
+            }
+            ArgsError::Bad(reason) => {
+                eprintln!("{reason}\n{usage}");
+                std::process::exit(2)
+            }
+        }
+    }
+}
+
+/// The flags every experiment binary accepts: `--quick`, `--trace`
+/// (alias `--trichotomy`) and `--seed N`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BenchArgs {
     /// CI-scale run.
     pub quick: bool,
@@ -128,21 +156,41 @@ pub struct BenchArgs {
 }
 
 impl BenchArgs {
-    /// Reads flags from the process arguments.
+    /// Reads flags from the process arguments. On `--help` prints the
+    /// accepted flags and exits 0; on an unknown flag or a `--seed`
+    /// without a number prints them and exits 2.
     pub fn from_env() -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::parse(&args).unwrap_or_else(|e| {
+            e.exit("flags: [--quick] [--trace | --trichotomy] [--seed N] [--help]")
+        })
+    }
+
+    /// Parses flags (program name excluded).
+    ///
+    /// # Errors
+    ///
+    /// [`ArgsError::Help`] for `--help` / `-h`; [`ArgsError::Bad`] for
+    /// an unknown argument or a missing / non-numeric `--seed` value.
+    pub fn parse(args: &[String]) -> Result<Self, ArgsError> {
         let mut a = BenchArgs::default();
-        let mut args = std::env::args().skip(1);
+        let mut args = args.iter();
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--quick" => a.quick = true,
                 "--trace" | "--trichotomy" => a.trace = true,
                 "--seed" => {
-                    a.seed = args.next().and_then(|s| s.parse().ok());
+                    let raw = args.next().map_or("", String::as_str);
+                    let seed = raw.parse().map_err(|_| {
+                        ArgsError::Bad(format!("--seed needs a number, got {raw:?}"))
+                    })?;
+                    a.seed = Some(seed);
                 }
-                _ => {}
+                "--help" | "-h" => return Err(ArgsError::Help),
+                other => return Err(ArgsError::Bad(format!("unknown argument {other:?}"))),
             }
         }
-        a
+        Ok(a)
     }
 
     /// Picks between a full and a quick sweep.
@@ -185,46 +233,58 @@ pub fn covered_nodes(partition: &Partition) -> Vec<NodeId> {
 /// `sim_throughput` criterion bench — one definition, so the two
 /// trend lines measure the same thing.
 pub mod sim_workloads {
-    use lcs_congest::{MultiBfsInstance, MultiBfsSpec, NodeAlgorithm, RoundCtx, Wake};
-    use lcs_graph::NodeId;
+    use lcs_congest::{MultiBfsInstance, MultiBfsSpec, Protocol, RoundCtx, RunStats, Wake};
+    use lcs_graph::{Graph, NodeId};
     use std::sync::Arc;
 
-    /// A node that stays awake (explicit [`Wake`] contract — it gets no
-    /// mail) for a fixed number of rounds, then sleeps. With one clock
-    /// node and `n - 1` immediately-quiescent peers this is the
-    /// engine's pure **idle-round** workload: under event-driven active
-    /// sets each round costs O(1) — independent of `n`, and of the
-    /// shard count too, because near-quiescent rounds run inline on the
-    /// coordinator instead of crossing the worker barrier.
+    /// Node 0 stays awake (explicit [`Wake`] contract — it gets no
+    /// mail) for a fixed number of rounds, then sleeps; every other
+    /// node sleeps after round 0. This is the engine's pure
+    /// **idle-round** workload: under event-driven active sets each
+    /// round costs O(1) — independent of `n`, and of the shard count
+    /// too, because near-quiescent rounds run inline on the coordinator
+    /// instead of crossing the worker barrier.
     #[derive(Debug)]
     pub struct Clock {
         ticks: u64,
     }
 
     impl Clock {
-        /// A node that stays scheduled for `ticks` rounds (0 = sleep
-        /// after round 0).
+        /// Node 0 stays scheduled for `ticks` rounds (0 = every node
+        /// sleeps after round 0).
         pub fn new(ticks: u64) -> Self {
             Clock { ticks }
         }
     }
 
-    impl NodeAlgorithm for Clock {
+    impl Protocol for Clock {
         type Msg = u32;
-        fn round(&mut self, _ctx: &mut RoundCtx<'_, u32>) {
-            if self.ticks > 0 {
-                self.ticks -= 1;
-            }
+        /// Rounds this node still stays awake.
+        type State = u64;
+        type Output = RunStats;
+        fn label(&self) -> &str {
+            "clock"
         }
-        fn halted(&self) -> bool {
+        fn init(&mut self, graph: &Graph) -> Vec<u64> {
+            (0..graph.n())
+                .map(|v| if v == 0 { self.ticks } else { 0 })
+                .collect()
+        }
+        fn round(&self, ticks: &mut u64, _ctx: &mut RoundCtx<'_, u32>) {
+            *ticks = ticks.saturating_sub(1);
+        }
+        fn halted(&self, _: &u64) -> bool {
             true
         }
-        fn wake(&self) -> Wake {
-            if self.ticks > 0 {
+        fn wake(&self, ticks: &u64) -> Wake {
+            if *ticks > 0 {
                 Wake::Stay
             } else {
                 Wake::Sleep
             }
+        }
+        fn finish(self, _: &Graph, _: Vec<u64>, stats: &RunStats) -> RunStats {
+            stats.clone()
         }
     }
 
@@ -232,37 +292,44 @@ pub mod sim_workloads {
     /// (send → slot → gather) with a trivial node program.
     #[derive(Debug)]
     pub struct Saturate {
-        /// Rounds left to keep sending.
-        pub rounds_left: u64,
-        /// Checksum of everything heard (defeats dead-code elimination).
-        pub sum: u64,
+        rounds: u64,
     }
 
     impl Saturate {
-        /// A node that sends for `rounds` rounds.
+        /// Every node sends to every neighbor for `rounds` rounds.
         pub fn new(rounds: u64) -> Self {
-            Saturate {
-                rounds_left: rounds,
-                sum: 0,
-            }
+            Saturate { rounds }
         }
     }
 
-    impl NodeAlgorithm for Saturate {
+    impl Protocol for Saturate {
         type Msg = u32;
-        fn round(&mut self, ctx: &mut RoundCtx<'_, u32>) {
+        /// Rounds left to keep sending, and a checksum of everything
+        /// heard (the receive side's work).
+        type State = (u64, u64);
+        type Output = RunStats;
+        fn label(&self) -> &str {
+            "saturate"
+        }
+        fn init(&mut self, graph: &Graph) -> Vec<(u64, u64)> {
+            vec![(self.rounds, 0); graph.n()]
+        }
+        fn round(&self, (rounds_left, sum): &mut (u64, u64), ctx: &mut RoundCtx<'_, u32>) {
             for &(_, m) in ctx.inbox() {
-                self.sum = self.sum.wrapping_add(u64::from(m));
+                *sum = sum.wrapping_add(u64::from(m));
             }
-            if self.rounds_left > 0 {
-                self.rounds_left -= 1;
+            if *rounds_left > 0 {
+                *rounds_left -= 1;
                 for i in 0..ctx.degree() {
                     ctx.send_nth(i, ctx.round() as u32);
                 }
             }
         }
-        fn halted(&self) -> bool {
-            self.rounds_left == 0
+        fn halted(&self, &(rounds_left, _): &(u64, u64)) -> bool {
+            rounds_left == 0
+        }
+        fn finish(self, _: &Graph, _: Vec<(u64, u64)>, stats: &RunStats) -> RunStats {
+            stats.clone()
         }
     }
 
@@ -287,6 +354,40 @@ pub mod sim_workloads {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(args: &[&str]) -> Result<BenchArgs, ArgsError> {
+        BenchArgs::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn bench_args_accept_known_flags() {
+        assert_eq!(parse(&[]), Ok(BenchArgs::default()));
+        assert_eq!(
+            parse(&["--quick", "--trichotomy", "--seed", "42"]),
+            Ok(BenchArgs {
+                quick: true,
+                trace: true,
+                seed: Some(42),
+            })
+        );
+    }
+
+    #[test]
+    fn bench_args_reject_bad_flags_and_answer_help() {
+        assert_eq!(parse(&["--help"]), Err(ArgsError::Help));
+        assert_eq!(parse(&["--quick", "-h"]), Err(ArgsError::Help));
+        for bad in [
+            &["--seed", "foo"][..],
+            &["--seed"],
+            &["--qiuck"],
+            &["quick"],
+        ] {
+            assert!(
+                matches!(parse(bad), Err(ArgsError::Bad(_))),
+                "{bad:?} must be rejected"
+            );
+        }
+    }
 
     #[test]
     fn slope_of_exact_power_law() {

@@ -7,7 +7,7 @@
 //! `ecc(root) + 2` rounds.
 
 use crate::message::Message;
-use crate::node::{NodeAlgorithm, RoundCtx};
+use crate::node::RoundCtx;
 use crate::protocol::Protocol;
 use crate::stats::RunStats;
 use lcs_graph::{Graph, NodeId};
@@ -49,7 +49,7 @@ pub struct BfsNode {
 impl BfsNode {
     /// Creates the state for one node; exactly one node should be the
     /// root.
-    pub fn new(is_root: bool) -> Self {
+    pub(crate) fn new(is_root: bool) -> Self {
         BfsNode {
             is_root,
             dist: None,
@@ -57,55 +57,6 @@ impl BfsNode {
             children: Vec::new(),
             fired: false,
         }
-    }
-}
-
-impl NodeAlgorithm for BfsNode {
-    type Msg = BfsMsg;
-
-    fn round(&mut self, ctx: &mut RoundCtx<'_, BfsMsg>) {
-        if ctx.round() == 0 && self.is_root {
-            self.dist = Some(0);
-        }
-        // Absorb tokens and child acks.
-        let mut best: Option<(u32, NodeId)> = None;
-        for &(from, ref msg) in ctx.inbox() {
-            match msg {
-                BfsMsg::Token { dist } => {
-                    if self.dist.is_none() {
-                        let cand = (*dist + 1, from);
-                        if best.is_none_or(|b| cand < b) {
-                            best = Some(cand);
-                        }
-                    }
-                }
-                BfsMsg::Child => self.children.push(from),
-            }
-        }
-        if self.dist.is_none() {
-            if let Some((d, p)) = best {
-                self.dist = Some(d);
-                self.parent = Some(p);
-            }
-        }
-        // Fire once: ack parent, flood everyone else (indexed sends hit
-        // the engine's zero-lookup arc-slot path).
-        if let (Some(d), false) = (self.dist, self.fired) {
-            self.fired = true;
-            let parent_idx = self.parent.and_then(|p| ctx.neighbor_index(p));
-            if let Some(pi) = parent_idx {
-                ctx.send_nth(pi, BfsMsg::Child);
-            }
-            for i in 0..ctx.degree() {
-                if Some(i) != parent_idx {
-                    ctx.send_nth(i, BfsMsg::Token { dist: d });
-                }
-            }
-        }
-    }
-
-    fn halted(&self) -> bool {
-        self.fired || self.dist.is_none()
     }
 }
 
@@ -166,16 +117,53 @@ impl Protocol for Bfs {
             .collect()
     }
 
-    fn round(&self, state: &mut BfsNode, ctx: &mut RoundCtx<'_, BfsMsg>) {
-        NodeAlgorithm::round(state, ctx);
+    fn round(&self, st: &mut BfsNode, ctx: &mut RoundCtx<'_, BfsMsg>) {
+        if ctx.round() == 0 && st.is_root {
+            st.dist = Some(0);
+        }
+        // Absorb tokens and child acks.
+        let mut best: Option<(u32, NodeId)> = None;
+        for &(from, ref msg) in ctx.inbox() {
+            match msg {
+                BfsMsg::Token { dist } => {
+                    if st.dist.is_none() {
+                        let cand = (*dist + 1, from);
+                        if best.is_none_or(|b| cand < b) {
+                            best = Some(cand);
+                        }
+                    }
+                }
+                BfsMsg::Child => st.children.push(from),
+            }
+        }
+        if st.dist.is_none() {
+            if let Some((d, p)) = best {
+                st.dist = Some(d);
+                st.parent = Some(p);
+            }
+        }
+        // Fire once: ack parent, flood everyone else (indexed sends hit
+        // the engine's zero-lookup arc-slot path).
+        if let (Some(d), false) = (st.dist, st.fired) {
+            st.fired = true;
+            let parent_idx = st.parent.and_then(|p| ctx.neighbor_index(p));
+            if let Some(pi) = parent_idx {
+                ctx.send_nth(pi, BfsMsg::Child);
+            }
+            for i in 0..ctx.degree() {
+                if Some(i) != parent_idx {
+                    ctx.send_nth(i, BfsMsg::Token { dist: d });
+                }
+            }
+        }
     }
 
     // The default halted-derived `wake` signal is exact: an unreached
     // or fired (halted) node is a no-op without mail — tokens and child
     // acks re-activate it — and only a reached-but-unfired node needs
     // the next round.
-    fn halted(&self, state: &BfsNode) -> bool {
-        NodeAlgorithm::halted(state)
+    fn halted(&self, st: &BfsNode) -> bool {
+        st.fired || st.dist.is_none()
     }
 
     fn finish(self, _graph: &Graph, nodes: Vec<BfsNode>, stats: &RunStats) -> DistBfsOutcome {

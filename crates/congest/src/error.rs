@@ -44,8 +44,8 @@ pub enum SimError {
     /// configuration is inconsistent (rate outside `[0, 1]`, delay
     /// bound at or past the round limit, crash scheduled beyond the
     /// round budget, …). Detected **eagerly**, at
-    /// [`Session`](crate::Session) dispatch / [`run`](crate::run)
-    /// entry, before any round executes.
+    /// [`Session`](crate::Session) phase dispatch, before any round
+    /// executes.
     FaultConfig {
         /// What is wrong and how to fix it.
         reason: String,

@@ -76,12 +76,12 @@ pub use multi_bfs::{
     Membership, MembershipFn, MultiBfs, MultiBfsInstance, MultiBfsMsg, MultiBfsNode,
     MultiBfsOutcome, MultiBfsSpec, Reached,
 };
-pub use node::{NodeAlgorithm, RoundCtx, Wake};
+pub use node::{RoundCtx, Wake};
 pub use pool::{Control, Pool};
 pub use protocol::{Join, JoinMsg, Protocol};
 pub use reliable::{Reliable, ReliableMsg};
 pub use session::Session;
-pub use sim::{run, Crash, FaultPlan, RunOutcome, SimConfig};
+pub use sim::{Crash, FaultPlan, SimConfig};
 pub use stats::RunStats;
 pub use tree::{
     positions_from_tree, AggOp, ConvergecastNode, PrefixNumber, PrefixNumberNode, TreeAggregate,

@@ -10,7 +10,7 @@
 //! turns into queueing delay, exactly as in [`crate::multi_bfs`].
 
 use crate::message::Message;
-use crate::node::{NodeAlgorithm, RoundCtx};
+use crate::node::RoundCtx;
 use crate::protocol::Protocol;
 use crate::stats::RunStats;
 use crate::tree::AggOp;
@@ -86,7 +86,7 @@ pub struct MultiAggNode {
 
 impl MultiAggNode {
     /// Creates the node state from this node's participations.
-    pub fn new(participations: Vec<Participation>, op: AggOp, broadcast: bool) -> Self {
+    pub(crate) fn new(participations: Vec<Participation>, op: AggOp, broadcast: bool) -> Self {
         // BTreeMap construction: sorted by instance id, duplicate
         // participations collapse to the last one given.
         let insts: Vec<(u32, InstState)> = participations
@@ -126,78 +126,6 @@ impl MultiAggNode {
             .binary_search_by_key(&inst, |&(i, _)| i)
             .ok()
             .map(|i| &mut self.insts[i].1)
-    }
-}
-
-impl NodeAlgorithm for MultiAggNode {
-    type Msg = MultiAggMsg;
-
-    fn round(&mut self, ctx: &mut RoundCtx<'_, MultiAggMsg>) {
-        if !self.initialized {
-            self.initialized = true;
-            self.queues = vec![VecDeque::new(); ctx.degree()];
-            for (_, st) in &mut self.insts {
-                (st.parent_idx, st.children_idx) = ctx.tree_indices(st.parent, &st.children);
-            }
-        }
-        // Absorb arrivals.
-        let op = self.op;
-        for &(_from, ref msg) in ctx.inbox() {
-            match *msg {
-                MultiAggMsg::Up { inst, value } => {
-                    let st = self.inst_mut(inst).expect("Up for unknown instance");
-                    st.acc = op.apply(st.acc, value);
-                    st.pending = st.pending.saturating_sub(1);
-                }
-                MultiAggMsg::Down { inst, value } => {
-                    self.inst_mut(inst)
-                        .expect("Down for unknown instance")
-                        .result = Some(value);
-                }
-            }
-        }
-        // Progress each instance; sorted order keeps queue contents
-        // deterministic. Field-split borrows: `insts` drives, `queues`
-        // and `max_queue` absorb, with no per-round clones.
-        let broadcast = self.broadcast;
-        let queues = &mut self.queues;
-        let max_queue = &mut self.max_queue;
-        for &mut (inst, ref mut st) in &mut self.insts {
-            if st.pending == 0 && !st.sent_up {
-                st.sent_up = true;
-                match st.parent_idx {
-                    None => st.result = Some(st.acc),
-                    Some(pi) => {
-                        let q = &mut queues[pi];
-                        q.push_back(MultiAggMsg::Up {
-                            inst,
-                            value: st.acc,
-                        });
-                        *max_queue = (*max_queue).max(q.len());
-                    }
-                }
-            }
-            if broadcast && !st.sent_down {
-                if let Some(r) = st.result {
-                    st.sent_down = true;
-                    for &ci in &st.children_idx {
-                        let q = &mut queues[ci];
-                        q.push_back(MultiAggMsg::Down { inst, value: r });
-                        *max_queue = (*max_queue).max(q.len());
-                    }
-                }
-            }
-        }
-        // Drain one message per neighbor.
-        for idx in 0..self.queues.len() {
-            if let Some(msg) = self.queues[idx].pop_front() {
-                ctx.send_nth(idx, msg);
-            }
-        }
-    }
-
-    fn halted(&self) -> bool {
-        self.queues.iter().all(|q| q.is_empty())
     }
 }
 
@@ -259,8 +187,68 @@ impl Protocol for MultiAggregate {
             .collect()
     }
 
-    fn round(&self, state: &mut MultiAggNode, ctx: &mut RoundCtx<'_, MultiAggMsg>) {
-        NodeAlgorithm::round(state, ctx);
+    fn round(&self, node: &mut MultiAggNode, ctx: &mut RoundCtx<'_, MultiAggMsg>) {
+        if !node.initialized {
+            node.initialized = true;
+            node.queues = vec![VecDeque::new(); ctx.degree()];
+            for (_, st) in &mut node.insts {
+                (st.parent_idx, st.children_idx) = ctx.tree_indices(st.parent, &st.children);
+            }
+        }
+        // Absorb arrivals.
+        let op = node.op;
+        for &(_from, ref msg) in ctx.inbox() {
+            match *msg {
+                MultiAggMsg::Up { inst, value } => {
+                    let st = node.inst_mut(inst).expect("Up for unknown instance");
+                    st.acc = op.apply(st.acc, value);
+                    st.pending = st.pending.saturating_sub(1);
+                }
+                MultiAggMsg::Down { inst, value } => {
+                    node.inst_mut(inst)
+                        .expect("Down for unknown instance")
+                        .result = Some(value);
+                }
+            }
+        }
+        // Progress each instance; sorted order keeps queue contents
+        // deterministic. Field-split borrows: `insts` drives, `queues`
+        // and `max_queue` absorb, with no per-round clones.
+        let broadcast = node.broadcast;
+        let queues = &mut node.queues;
+        let max_queue = &mut node.max_queue;
+        for &mut (inst, ref mut st) in &mut node.insts {
+            if st.pending == 0 && !st.sent_up {
+                st.sent_up = true;
+                match st.parent_idx {
+                    None => st.result = Some(st.acc),
+                    Some(pi) => {
+                        let q = &mut queues[pi];
+                        q.push_back(MultiAggMsg::Up {
+                            inst,
+                            value: st.acc,
+                        });
+                        *max_queue = (*max_queue).max(q.len());
+                    }
+                }
+            }
+            if broadcast && !st.sent_down {
+                if let Some(r) = st.result {
+                    st.sent_down = true;
+                    for &ci in &st.children_idx {
+                        let q = &mut queues[ci];
+                        q.push_back(MultiAggMsg::Down { inst, value: r });
+                        *max_queue = (*max_queue).max(q.len());
+                    }
+                }
+            }
+        }
+        // Drain one message per neighbor.
+        for idx in 0..node.queues.len() {
+            if let Some(msg) = node.queues[idx].pop_front() {
+                ctx.send_nth(idx, msg);
+            }
+        }
     }
 
     // The default halted-derived `wake` signal is exact: a node stays
@@ -269,8 +257,8 @@ impl Protocol for MultiAggregate {
     // on the partwise workloads most nodes are asleep most rounds —
     // the active-frontier cost model this protocol was the motivating
     // case for.
-    fn halted(&self, state: &MultiAggNode) -> bool {
-        NodeAlgorithm::halted(state)
+    fn halted(&self, node: &MultiAggNode) -> bool {
+        node.queues.iter().all(|q| q.is_empty())
     }
 
     fn finish(self, _graph: &Graph, nodes: Vec<MultiAggNode>, stats: &RunStats) -> MultiAggOutcome {

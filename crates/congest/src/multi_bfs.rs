@@ -27,7 +27,7 @@
 //! construction needs are preserved by its `O(k_D log n)` depth budget.
 
 use crate::message::Message;
-use crate::node::{NodeAlgorithm, RoundCtx};
+use crate::node::RoundCtx;
 use crate::protocol::Protocol;
 use crate::stats::RunStats;
 use lcs_graph::{Graph, NodeId};
@@ -236,7 +236,7 @@ struct MultiBfsCold {
 impl MultiBfsNode {
     /// Creates the state for one node; `roots_here` lists the instance
     /// ids whose root is this node.
-    pub fn new(spec: Arc<MultiBfsSpec>, roots_here: Vec<u32>) -> Self {
+    pub(crate) fn new(spec: Arc<MultiBfsSpec>, roots_here: Vec<u32>) -> Self {
         let k = spec.instances.len();
         let pending_roots = roots_here.len() as u32;
         MultiBfsNode {
@@ -361,118 +361,6 @@ impl MultiBfsNode {
     }
 }
 
-impl NodeAlgorithm for MultiBfsNode {
-    type Msg = MultiBfsMsg;
-
-    fn round(&mut self, ctx: &mut RoundCtx<'_, MultiBfsMsg>) {
-        let me = ctx.node();
-        let neighbors = ctx.neighbors();
-        // Root activations scheduled for this round (indexed loop: no
-        // per-round allocation; skipped entirely once every local root
-        // has fired).
-        if self.pending_roots > 0 {
-            for r in 0..self.cold.roots_here.len() {
-                let inst = self.cold.roots_here[r];
-                if self.spec.instances[inst as usize].start_round != ctx.round()
-                    || self.is_reached(inst)
-                {
-                    continue;
-                }
-                self.pending_roots -= 1;
-                self.mark_reached(inst);
-                self.accepted.push((
-                    inst,
-                    Reached {
-                        dist: 0,
-                        parent: None,
-                        round: ctx.round(),
-                        root: me,
-                    },
-                ));
-                self.fan_out(ctx, inst, me, 0, None);
-            }
-        }
-        // Process arrivals (no inbox copy — the slice outlives the ctx
-        // borrow, so sends can interleave with iteration).
-        let inbox = ctx.inbox();
-        for &(from, ref msg) in inbox {
-            match *msg {
-                MultiBfsMsg::Token { inst, root, dist } => {
-                    // Already-reached is by far the common rejection
-                    // under contention: test the in-struct bit word
-                    // before touching the shared spec or the reach
-                    // records.
-                    if self.is_reached(inst)
-                        || dist > self.spec.instances[inst as usize].depth_limit
-                    {
-                        continue;
-                    }
-                    self.mark_reached(inst);
-                    self.accepted.push((
-                        inst,
-                        Reached {
-                            dist,
-                            parent: Some(from),
-                            round: ctx.round(),
-                            root,
-                        },
-                    ));
-                    let from_idx = ctx.neighbor_index(from).expect("sender is a neighbor");
-                    self.send_or_enqueue(
-                        ctx,
-                        neighbors.len(),
-                        from_idx,
-                        MultiBfsMsg::Child { inst },
-                    );
-                    self.fan_out(ctx, inst, root, dist, Some(from));
-                }
-                MultiBfsMsg::Child { inst } => {
-                    self.cold.children.push((inst, from));
-                }
-            }
-        }
-        // Drain the queued leftovers: one message per neighbor per
-        // round, skipping neighbors the direct path already served.
-        // Only busy neighbors are visited; the busy list is unordered,
-        // but each send targets a distinct arc slot and the receiver
-        // gathers in its own fixed arc order, so the iteration order
-        // cannot affect outcomes. `queued == 0` skips the cold box
-        // entirely — the common case with the direct path in play.
-        if self.queued > 0 {
-            let cold = &mut *self.cold;
-            let mut i = 0;
-            while i < cold.busy.len() {
-                let idx = cold.busy[i] as usize;
-                if idx < 64 && self.sent_lo >> idx & 1 != 0 {
-                    // Sent to this neighbor directly this round; its
-                    // queue waits for the next one.
-                    i += 1;
-                    continue;
-                }
-                let msg = cold.queues[idx]
-                    .pop_front()
-                    .expect("busy list tracks non-empty queues");
-                self.queued -= 1;
-                ctx.send_nth(idx, msg);
-                if cold.queues[idx].is_empty() {
-                    cold.busy.swap_remove(i);
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        self.sent_lo = 0;
-    }
-
-    fn halted(&self) -> bool {
-        // A root with a pending delayed start must keep the run alive
-        // even when no messages are in flight yet. Both counters are
-        // maintained incrementally, so this is O(1) — it runs for every
-        // node after every active round.
-        self.pending_roots == 0 && self.queued == 0
-    }
-}
-
 /// Result of the [`MultiBfs`] protocol.
 ///
 /// Instance ids are dense (`0..spec.instances.len()`), so per-node
@@ -554,8 +442,97 @@ impl Protocol for MultiBfs {
             .collect()
     }
 
-    fn round(&self, state: &mut MultiBfsNode, ctx: &mut RoundCtx<'_, MultiBfsMsg>) {
-        NodeAlgorithm::round(state, ctx);
+    fn round(&self, st: &mut MultiBfsNode, ctx: &mut RoundCtx<'_, MultiBfsMsg>) {
+        let me = ctx.node();
+        let neighbors = ctx.neighbors();
+        // Root activations scheduled for this round (indexed loop: no
+        // per-round allocation; skipped entirely once every local root
+        // has fired).
+        if st.pending_roots > 0 {
+            for r in 0..st.cold.roots_here.len() {
+                let inst = st.cold.roots_here[r];
+                if st.spec.instances[inst as usize].start_round != ctx.round()
+                    || st.is_reached(inst)
+                {
+                    continue;
+                }
+                st.pending_roots -= 1;
+                st.mark_reached(inst);
+                st.accepted.push((
+                    inst,
+                    Reached {
+                        dist: 0,
+                        parent: None,
+                        round: ctx.round(),
+                        root: me,
+                    },
+                ));
+                st.fan_out(ctx, inst, me, 0, None);
+            }
+        }
+        // Process arrivals (no inbox copy — the slice outlives the ctx
+        // borrow, so sends can interleave with iteration).
+        let inbox = ctx.inbox();
+        for &(from, ref msg) in inbox {
+            match *msg {
+                MultiBfsMsg::Token { inst, root, dist } => {
+                    // Already-reached is by far the common rejection
+                    // under contention: test the in-struct bit word
+                    // before touching the shared spec or the reach
+                    // records.
+                    if st.is_reached(inst) || dist > st.spec.instances[inst as usize].depth_limit {
+                        continue;
+                    }
+                    st.mark_reached(inst);
+                    st.accepted.push((
+                        inst,
+                        Reached {
+                            dist,
+                            parent: Some(from),
+                            round: ctx.round(),
+                            root,
+                        },
+                    ));
+                    let from_idx = ctx.neighbor_index(from).expect("sender is a neighbor");
+                    st.send_or_enqueue(ctx, neighbors.len(), from_idx, MultiBfsMsg::Child { inst });
+                    st.fan_out(ctx, inst, root, dist, Some(from));
+                }
+                MultiBfsMsg::Child { inst } => {
+                    st.cold.children.push((inst, from));
+                }
+            }
+        }
+        // Drain the queued leftovers: one message per neighbor per
+        // round, skipping neighbors the direct path already served.
+        // Only busy neighbors are visited; the busy list is unordered,
+        // but each send targets a distinct arc slot and the receiver
+        // gathers in its own fixed arc order, so the iteration order
+        // cannot affect outcomes. `queued == 0` skips the cold box
+        // entirely — the common case with the direct path in play.
+        if st.queued > 0 {
+            let cold = &mut *st.cold;
+            let mut i = 0;
+            while i < cold.busy.len() {
+                let idx = cold.busy[i] as usize;
+                if idx < 64 && st.sent_lo >> idx & 1 != 0 {
+                    // Sent to this neighbor directly this round; its
+                    // queue waits for the next one.
+                    i += 1;
+                    continue;
+                }
+                let msg = cold.queues[idx]
+                    .pop_front()
+                    .expect("busy list tracks non-empty queues");
+                st.queued -= 1;
+                ctx.send_nth(idx, msg);
+                if cold.queues[idx].is_empty() {
+                    cold.busy.swap_remove(i);
+                } else {
+                    i += 1;
+                }
+            }
+        }
+        st.sent_lo = 0;
     }
 
     // The default halted-derived `wake` signal is exact: both kinds of
@@ -564,8 +541,12 @@ impl Protocol for MultiBfs {
     // queued tokens still draining at one per neighbor per round — are
     // captured by `halted`; everything else (token arrival, child
     // acks) is mail-driven and sleeps.
-    fn halted(&self, state: &MultiBfsNode) -> bool {
-        NodeAlgorithm::halted(state)
+    fn halted(&self, st: &MultiBfsNode) -> bool {
+        // A root with a pending delayed start must keep the run alive
+        // even when no messages are in flight yet. Both counters are
+        // maintained incrementally, so this is O(1) — it runs for every
+        // node after every active round.
+        st.pending_roots == 0 && st.queued == 0
     }
 
     fn finish(self, _graph: &Graph, nodes: Vec<MultiBfsNode>, stats: &RunStats) -> MultiBfsOutcome {

@@ -1,5 +1,6 @@
-//! Node-program interface: the [`NodeAlgorithm`] trait, the [`Wake`]
-//! quiescence signal, and the per-round context handed to node programs.
+//! Node-program interface: the [`Wake`] quiescence signal and the
+//! per-round [`RoundCtx`] handed to a [`Protocol`](crate::Protocol)'s
+//! round hook.
 
 use crate::error::SimError;
 use crate::message::Message;
@@ -8,8 +9,7 @@ use lcs_graph::{Graph, NodeId};
 use rand_chacha::ChaCha8Rng;
 
 /// A node's scheduling request for the next round, reported by
-/// [`NodeAlgorithm::wake`] / [`Protocol::wake`](crate::Protocol::wake)
-/// after each executed round.
+/// [`Protocol::wake`](crate::Protocol::wake) after each executed round.
 ///
 /// The engine is **event-driven**: a node's `round` hook runs only when
 /// the node is *active* — the phase just started (round 0), mail
@@ -29,52 +29,6 @@ pub enum Wake {
     /// is a promise: invoking the hook with an empty inbox would have
     /// been a no-op (no state change, no sends, no RNG draws).
     Sleep,
-}
-
-/// A distributed algorithm, as seen by one node.
-///
-/// The simulator owns one value of the implementing type per node and
-/// drives all of them through synchronous rounds. A node sees only what
-/// the CONGEST model allows: its own id and degree, its adjacency, the
-/// messages that arrived this round, a private RNG, and (optionally) a
-/// short shared-randomness string.
-pub trait NodeAlgorithm {
-    /// The message type exchanged by this algorithm.
-    type Msg: Message;
-
-    /// Executes one synchronous round. At round 0 the inbox is empty;
-    /// from round `r ≥ 1` the inbox holds exactly the messages sent to
-    /// this node at round `r − 1`. The engine only invokes this hook
-    /// while the node is active (see [`Wake`]): round 0, rounds with
-    /// incoming mail, and rounds following a [`Wake::Stay`] request.
-    fn round(&mut self, ctx: &mut RoundCtx<'_, Self::Msg>);
-
-    /// Whether this node has (tentatively) finished. The run ends when
-    /// every node is quiescent **and** no messages are in flight; a
-    /// quiescent node is re-activated (and may un-halt) when messages
-    /// arrive.
-    fn halted(&self) -> bool;
-
-    /// The quiescence contract: after each executed round the engine
-    /// asks whether to keep the node scheduled ([`Wake::Stay`]) or let
-    /// it sleep until mail arrives ([`Wake::Sleep`]).
-    ///
-    /// The default derives the signal from [`NodeAlgorithm::halted`]:
-    /// a halted node sleeps, a non-halted node stays awake. That is
-    /// correct for every protocol whose `round` hook is a no-op when
-    /// the node is halted and the inbox is empty — which the old
-    /// poll-every-round engine already required for termination.
-    /// Override it only when halting and scheduling diverge (e.g. a
-    /// node that is "done" but must act again at a known later round
-    /// must `Stay`, because a sleeping node is *not* invoked again
-    /// without mail).
-    fn wake(&self) -> Wake {
-        if self.halted() {
-            Wake::Sleep
-        } else {
-            Wake::Stay
-        }
-    }
 }
 
 /// The engine-side effects of a *wire* send: the receiver's mail flag
@@ -381,7 +335,10 @@ impl<'a, M: Message> RoundCtx<'a, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{run, SimConfig};
+    use crate::protocol::Protocol;
+    use crate::session::Session;
+    use crate::sim::SimConfig;
+    use crate::stats::RunStats;
     use crate::SimError;
 
     /// Probes `neighbor_index` / `tree_indices` from inside a real
@@ -399,36 +356,52 @@ mod tests {
         probe_tree: bool,
     }
 
-    impl NodeAlgorithm for Probe {
+    /// Runs the given per-node probes (one per node) and returns them
+    /// filled in.
+    struct Probes(Vec<Probe>);
+
+    impl Protocol for Probes {
         type Msg = u32;
-        fn round(&mut self, ctx: &mut RoundCtx<'_, u32>) {
+        type State = Probe;
+        type Output = Vec<Probe>;
+        fn init(&mut self, _: &Graph) -> Vec<Probe> {
+            std::mem::take(&mut self.0)
+        }
+        fn round(&self, p: &mut Probe, ctx: &mut RoundCtx<'_, u32>) {
             if ctx.round() > 0 {
                 return;
             }
             // Query every node in the graph plus one out-of-range id.
             for w in 0..ctx.n() as NodeId {
-                self.lookups.push((w, ctx.neighbor_index(w)));
+                p.lookups.push((w, ctx.neighbor_index(w)));
             }
             let ghost = ctx.n() as NodeId + 7;
-            self.lookups.push((ghost, ctx.neighbor_index(ghost)));
-            if self.probe_tree {
-                self.tree = Some(ctx.tree_indices(self.parent, &self.children));
+            p.lookups.push((ghost, ctx.neighbor_index(ghost)));
+            if p.probe_tree {
+                p.tree = Some(ctx.tree_indices(p.parent, &p.children));
             }
         }
-        fn halted(&self) -> bool {
+        fn halted(&self, _: &Probe) -> bool {
             true
+        }
+        fn finish(self, _: &Graph, probes: Vec<Probe>, _: &RunStats) -> Vec<Probe> {
+            probes
         }
     }
 
-    fn probe_graph(g: &lcs_graph::Graph, configure: impl Fn(usize, &mut Probe)) -> Vec<Probe> {
-        let nodes = (0..g.n())
+    fn run_probes(g: &Graph, probes: Vec<Probe>) -> Result<Vec<Probe>, SimError> {
+        Session::new(g, SimConfig::default()).run(Probes(probes))
+    }
+
+    fn probe_graph(g: &Graph, configure: impl Fn(usize, &mut Probe)) -> Vec<Probe> {
+        let probes = (0..g.n())
             .map(|v| {
                 let mut p = Probe::default();
                 configure(v, &mut p);
                 p
             })
             .collect();
-        run(g, nodes, &SimConfig::default()).unwrap().nodes
+        run_probes(g, probes).unwrap()
     }
 
     #[test]
@@ -504,14 +477,14 @@ mod tests {
     #[test]
     fn tree_indices_nonexistent_child_aborts_with_invalid_destination() {
         let g = lcs_graph::generators::path(3);
-        let nodes = (0..3)
+        let probes = (0..3)
             .map(|v| Probe {
                 probe_tree: v == 0,
                 children: if v == 0 { vec![2] } else { vec![] }, // 2 is not adjacent to 0
                 ..Probe::default()
             })
             .collect();
-        let err = run(&g, nodes, &SimConfig::default()).unwrap_err();
+        let err = run_probes(&g, probes).unwrap_err();
         assert_eq!(
             err,
             SimError::InvalidDestination {
@@ -525,14 +498,14 @@ mod tests {
     #[test]
     fn tree_indices_nonexistent_parent_aborts_with_invalid_destination() {
         let g = lcs_graph::generators::path(3);
-        let nodes = (0..3)
+        let probes = (0..3)
             .map(|v| Probe {
                 probe_tree: v == 2,
                 parent: (v == 2).then_some(0), // 0 is not adjacent to 2
                 ..Probe::default()
             })
             .collect();
-        let err = run(&g, nodes, &SimConfig::default()).unwrap_err();
+        let err = run_probes(&g, probes).unwrap_err();
         assert_eq!(
             err,
             SimError::InvalidDestination {

@@ -6,14 +6,13 @@
 //!
 //! Low-congestion shortcuts exist precisely so that many part-wise
 //! computations can run *concurrently* in shared CONGEST rounds
-//! (Ghaffari–Haeupler SODA'16; Kogan–Parter PODC 2021). The engine's
-//! low-level interface ([`NodeAlgorithm`](crate::NodeAlgorithm) +
-//! [`run`](crate::run)) expresses one protocol per engine invocation;
-//! [`Protocol`] packages the full lifecycle — building per-node states
-//! ([`Protocol::init`]), executing rounds ([`Protocol::round`], with
-//! quiescence declared via [`Protocol::halted`] / [`Protocol::wake`]),
-//! and extracting a typed result ([`Protocol::finish`]) — so protocols
-//! can be handed to a [`Session`](crate::Session) and composed:
+//! (Ghaffari–Haeupler SODA'16; Kogan–Parter PODC 2021). [`Protocol`]
+//! is the one way to write a node program. It packages the full
+//! lifecycle — building per-node states ([`Protocol::init`]), executing
+//! rounds ([`Protocol::round`], with quiescence declared via
+//! [`Protocol::halted`] / [`Protocol::wake`]), and extracting a typed
+//! result ([`Protocol::finish`]) — so protocols can be handed to a
+//! [`Session`](crate::Session) and composed:
 //!
 //! * **sequentially** — `session.run(p1)?` then `session.run(p2)?`
 //!   share one engine (worker pool, reverse-arc tables) and accumulate

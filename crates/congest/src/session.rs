@@ -60,27 +60,10 @@
 //! ```
 
 use crate::error::SimError;
-use crate::node::{RoundCtx, Wake};
 use crate::protocol::{Join, Protocol};
-use crate::sim::{run_phase, Driver, EngineHost, SimConfig};
+use crate::sim::{run_phase, EngineHost, SimConfig};
 use crate::stats::RunStats;
 use lcs_graph::Graph;
-
-/// Adapts a [`Protocol`] to the engine's internal dispatch trait.
-struct ProtocolDriver<'p, P>(&'p P);
-
-impl<P: Protocol + Sync> Driver for ProtocolDriver<'_, P> {
-    type Msg = P::Msg;
-    type State = P::State;
-    #[inline]
-    fn node_round(&self, state: &mut P::State, ctx: &mut RoundCtx<'_, P::Msg>) {
-        self.0.round(state, ctx);
-    }
-    #[inline]
-    fn node_wake(&self, state: &P::State) -> Wake {
-        self.0.wake(state)
-    }
-}
 
 /// One engine instance (worker pool, reverse-arc table, RNG seeding
 /// discipline, cumulative statistics) hosting a pipeline of
@@ -274,8 +257,7 @@ impl<'g> Session<'g> {
         }
         cfg.validate()?;
         let states = protocol.init(self.graph);
-        let driver = ProtocolDriver(&protocol);
-        let (states, stats) = match run_phase(self.graph, &mut self.host, &driver, states, &cfg) {
+        let (states, stats) = match run_phase(self.graph, &mut self.host, &protocol, states, &cfg) {
             Ok(done) => done,
             Err(e) => {
                 if matches!(e, SimError::RoundLimitExceeded { .. }) {
@@ -299,6 +281,7 @@ impl<'g> Session<'g> {
 mod tests {
     use super::*;
     use crate::bfs::Bfs;
+    use crate::node::RoundCtx;
     use crate::tree::{positions_from_tree, AggOp, TreeAggregate, TreePosition};
     use lcs_graph::NodeId;
 

@@ -34,8 +34,8 @@
 //! Rounds are **event-driven**: a node's `round` hook runs only while
 //! the node is *active* — the phase just started (round 0), mail
 //! arrived this round, or the node's previous round requested
-//! [`Wake::Stay`] (see [`crate::Wake`]; the default derives the signal
-//! from `halted`, so a halted node sleeps until mail arrives). Each
+//! [`Wake::Stay`] (see [`Protocol::wake`]; the default derives the
+//! signal from `halted`, so a halted node sleeps until mail arrives). Each
 //! shard keeps a sorted active list plus a membership bitmap:
 //!
 //! * a **stay** decision re-enqueues the node locally;
@@ -141,14 +141,14 @@
 use crate::arena::SlabArena;
 use crate::error::SimError;
 use crate::message::{Message, DEFAULT_BANDWIDTH_WORDS};
-use crate::node::{NodeAlgorithm, RoundCtx, TxState, Wake, WireFx};
+use crate::node::{RoundCtx, TxState, Wake, WireFx};
 use crate::pool::{Control, Pool};
+use crate::protocol::Protocol;
 use crate::stats::RunStats;
 use lcs_graph::{ArcId, Graph, NodeId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::cell::UnsafeCell;
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// One scheduled crash-stop in a [`FaultPlan`]: the node falls silent
@@ -404,7 +404,7 @@ impl SimConfig {
     }
 
     /// Eagerly checks the configuration — today that means the attached
-    /// [`FaultPlan`], if any. Called by [`run`] and by every
+    /// [`FaultPlan`], if any. Called by every
     /// [`Session`](crate::Session) phase dispatch before any round
     /// executes, so an inconsistent plan fails fast with an actionable
     /// [`SimError::FaultConfig`] instead of corrupting a run.
@@ -662,15 +662,6 @@ impl<M: Message> FaultState<M> {
     }
 }
 
-/// Outcome of a run: the final node states plus statistics.
-#[derive(Debug)]
-pub struct RunOutcome<A> {
-    /// Final per-node algorithm states, indexed by node id.
-    pub nodes: Vec<A>,
-    /// Collected statistics.
-    pub stats: RunStats,
-}
-
 /// One arc-indexed mailbox payload slot, interior-mutable so the two
 /// parity buffers can alternate read/write roles across the persistent
 /// workers without re-borrowing each round. The payload is stored flat
@@ -893,9 +884,9 @@ struct Shard<M> {
 
 /// A pool worker's state: its shard bookkeeping plus disjoint mutable
 /// views of the node-state and RNG arrays.
-struct ShardWorker<'a, D: Driver> {
-    sh: Shard<D::Msg>,
-    nodes: &'a mut [D::State],
+struct ShardWorker<'a, P: Protocol> {
+    sh: Shard<P::Msg>,
+    nodes: &'a mut [P::State],
     rngs: &'a mut [ChaCha8Rng],
 }
 
@@ -913,45 +904,6 @@ struct StepReport {
     /// reach — and wake — its receiver). Always 0 without a
     /// [`FaultPlan`].
     fault_pending: u64,
-}
-
-/// The engine's per-node dispatch abstraction: how one node executes a
-/// round and reports quiescence. Implemented for plain
-/// [`NodeAlgorithm`] vectors (state *is* behavior) and for
-/// [`Protocol`](crate::Protocol) runs (one shared protocol value drives
-/// per-node states), so both APIs share one engine.
-pub(crate) trait Driver: Sync {
-    /// The wire message type.
-    type Msg: Message + Send + Sync;
-    /// Per-node state.
-    type State: Send;
-    /// One synchronous round for `state`'s node.
-    fn node_round(&self, state: &mut Self::State, ctx: &mut RoundCtx<'_, Self::Msg>);
-    /// The node's scheduling request after a round (the quiescence
-    /// contract; see [`crate::Wake`]).
-    fn node_wake(&self, state: &Self::State) -> Wake;
-}
-
-/// Driver for a vector of [`NodeAlgorithm`] values. `PhantomData` over
-/// `fn() -> A` keeps the driver `Sync` without requiring `A: Sync` —
-/// node states are only ever touched through disjoint `&mut`.
-struct PlainDriver<A>(PhantomData<fn() -> A>);
-
-impl<A> Driver for PlainDriver<A>
-where
-    A: NodeAlgorithm + Send,
-    A::Msg: Send + Sync,
-{
-    type Msg = A::Msg;
-    type State = A;
-    #[inline]
-    fn node_round(&self, state: &mut A, ctx: &mut RoundCtx<'_, A::Msg>) {
-        state.round(ctx);
-    }
-    #[inline]
-    fn node_wake(&self, state: &A) -> Wake {
-        state.wake()
-    }
 }
 
 /// The per-[`Session`](crate::Session) persistent half of the engine:
@@ -1072,14 +1024,14 @@ fn build_rev_arcs(g: &Graph) -> Vec<u32> {
 /// skipped are first rebuilt from mailbox occupancy (module docs).
 /// Returns `(next_active_len, first_violation)`.
 #[allow(clippy::too_many_arguments)]
-fn run_shard<D: Driver>(
+fn run_shard<P: Protocol>(
     graph: &Graph,
-    driver: &D,
-    sh: &mut Shard<D::Msg>,
-    nodes: &mut [D::State],
+    protocol: &P,
+    sh: &mut Shard<P::Msg>,
+    nodes: &mut [P::State],
     rngs: &mut [ChaCha8Rng],
-    cur: &[Slot<D::Msg>],
-    nxt: &[Slot<D::Msg>],
+    cur: &[Slot<P::Msg>],
+    nxt: &[Slot<P::Msg>],
     occ_cur: &[OccCell],
     occ_nxt: &[OccCell],
     mail_cur: &[AtomicBool],
@@ -1115,7 +1067,7 @@ fn run_shard<D: Driver>(
         debug_assert!(a < occ_nxt.len());
         unsafe {
             *occ_nxt.get_unchecked(a).0.get() = false;
-            if std::mem::needs_drop::<D::Msg>() {
+            if std::mem::needs_drop::<P::Msg>() {
                 (*nxt.get_unchecked(a).0.get()).assume_init_drop();
             }
         }
@@ -1138,7 +1090,7 @@ fn run_shard<D: Driver>(
 
     if mode == MODE_DENSE {
         return run_shard_dense(
-            graph, driver, core, messages, words, inbox, faults, nodes, rngs, cur, nxt, occ_cur,
+            graph, protocol, core, messages, words, inbox, faults, nodes, rngs, cur, nxt, occ_cur,
             occ_nxt, mail_cur, rev, shared, round, bandwidth, me, wakes,
         );
     }
@@ -1341,12 +1293,12 @@ fn run_shard<D: Driver>(
                     bandwidth,
                 },
             };
-            driver.node_round(&mut nodes[v - node_lo], &mut ctx);
+            protocol.round(&mut nodes[v - node_lo], &mut ctx);
         }
         if violation.is_some() {
             return (core.next_active.len() as u64, violation);
         }
-        if let Wake::Stay = driver.node_wake(&nodes[v - node_lo]) {
+        if let Wake::Stay = protocol.wake(&nodes[v - node_lo]) {
             activate(
                 &mut core.next_active,
                 &mut core.in_set,
@@ -1367,18 +1319,18 @@ fn run_shard<D: Driver>(
 /// sends carry no [`WireFx`]. Statistics and [`Wake::Stay`] handling
 /// are identical to the normal path, so outcomes are bit-identical.
 #[allow(clippy::too_many_arguments)]
-fn run_shard_dense<D: Driver>(
+fn run_shard_dense<P: Protocol>(
     graph: &Graph,
-    driver: &D,
+    protocol: &P,
     core: &mut ShardCore,
     messages: &mut u64,
     words: &mut u64,
-    inbox: &mut Vec<(NodeId, D::Msg)>,
-    faults: &mut Option<FaultState<D::Msg>>,
-    nodes: &mut [D::State],
+    inbox: &mut Vec<(NodeId, P::Msg)>,
+    faults: &mut Option<FaultState<P::Msg>>,
+    nodes: &mut [P::State],
     rngs: &mut [ChaCha8Rng],
-    cur: &[Slot<D::Msg>],
-    nxt: &[Slot<D::Msg>],
+    cur: &[Slot<P::Msg>],
+    nxt: &[Slot<P::Msg>],
     occ_cur: &[OccCell],
     occ_nxt: &[OccCell],
     mail_cur: &[AtomicBool],
@@ -1482,12 +1434,12 @@ fn run_shard_dense<D: Driver>(
                     bandwidth,
                 },
             };
-            driver.node_round(&mut nodes[v - node_lo], &mut ctx);
+            protocol.round(&mut nodes[v - node_lo], &mut ctx);
         }
         if violation.is_some() {
             return (core.next_active.len() as u64, violation);
         }
-        if let Wake::Stay = driver.node_wake(&nodes[v - node_lo]) {
+        if let Wake::Stay = protocol.wake(&nodes[v - node_lo]) {
             activate(
                 &mut core.next_active,
                 &mut core.in_set,
@@ -1499,61 +1451,18 @@ fn run_shard_dense<D: Driver>(
     (core.next_active.len() as u64, violation)
 }
 
-/// Runs `nodes` (one [`NodeAlgorithm`] value per node of `graph`) to
-/// quiescence: no node awake and no messages in flight.
-///
-/// Rounds are fully synchronous: messages sent at round `r` are delivered
-/// at round `r + 1`. The engine enforces the CONGEST discipline — a node
-/// may send at most one message per neighbor per round, each at most
-/// `cfg.bandwidth_words` words, and only to adjacent nodes. Scheduling
-/// is event-driven (see the module docs and [`crate::Wake`]): a node's
-/// `round` hook runs at round 0, on rounds with incoming mail, and on
-/// rounds following a [`Wake::Stay`] request.
-///
-/// With `cfg.shards > 1` the rounds are executed by a persistent pool
-/// of that many worker threads over contiguous node ranges (see
-/// [`crate::pool`]); the outcome (including [`RunStats`] and per-node
-/// RNG streams) is bit-identical to the sequential engine. The
-/// `Send`/`Sync` bounds exist solely to allow this; every plain-data
-/// message/state type satisfies them.
-///
-/// # Errors
-///
-/// Returns a [`SimError`] on any CONGEST-model violation or when
-/// `cfg.max_rounds` is exceeded. The run is deterministic given
-/// `cfg.seed`.
-///
-/// # Panics
-///
-/// Panics if `nodes.len() != graph.n()`. A panic inside a node's
-/// `round` — on any shard — propagates to the caller after the pool
-/// shuts down (it never deadlocks the barrier).
-pub fn run<A: NodeAlgorithm + Send>(
-    graph: &Graph,
-    nodes: Vec<A>,
-    cfg: &SimConfig,
-) -> Result<RunOutcome<A>, SimError>
-where
-    A::Msg: Send + Sync,
-{
-    cfg.validate()?;
-    let mut host = EngineHost::new(graph, cfg.resolved_shards(graph.n()));
-    let (nodes, stats) = run_phase(graph, &mut host, &PlainDriver::<A>(PhantomData), nodes, cfg)?;
-    Ok(RunOutcome { nodes, stats })
-}
-
-/// One engine phase: runs `states` (one per node) to quiescence on the
-/// host's persistent pool, driven by `driver`. This is the shared core
-/// of [`run`] (one-shot) and [`Session`](crate::Session) (many phases,
-/// one pool spawn). `cfg.shards` is ignored here — the host's pool was
-/// sized when it was built.
-pub(crate) fn run_phase<D: Driver>(
+/// One engine phase: runs `nodes` (one [`Protocol::State`] per node) to
+/// quiescence on the host's persistent pool, each node's round and wake
+/// decision dispatched to `protocol`. [`Session`](crate::Session) calls
+/// this once per phase. `cfg.shards` is ignored here — the host's pool
+/// was sized when it was built.
+pub(crate) fn run_phase<P: Protocol + Sync>(
     graph: &Graph,
     host: &mut EngineHost,
-    driver: &D,
-    mut nodes: Vec<D::State>,
+    protocol: &P,
+    mut nodes: Vec<P::State>,
     cfg: &SimConfig,
-) -> Result<(Vec<D::State>, RunStats), SimError> {
+) -> Result<(Vec<P::State>, RunStats), SimError> {
     assert_eq!(
         nodes.len(),
         graph.n(),
@@ -1583,8 +1492,8 @@ pub(crate) fn run_phase<D: Driver>(
     // adopting a recycled slab is a length bump — no per-slot
     // initialization; liveness is tracked by the host's occupancy
     // bytes, which `reset_for_phase` cleared.
-    let bufs: [Vec<Slot<D::Msg>>; 2] = [0, 1].map(|_| {
-        let mut buf: Vec<Slot<D::Msg>> = host.arena.take(num_arcs);
+    let bufs: [Vec<Slot<P::Msg>>; 2] = [0, 1].map(|_| {
+        let mut buf: Vec<Slot<P::Msg>> = host.arena.take(num_arcs);
         // SAFETY: the arena guarantees `capacity >= num_arcs`, and a
         // `Slot` wraps `MaybeUninit`, for which any contents are valid.
         unsafe { buf.set_len(num_arcs) };
@@ -1608,9 +1517,9 @@ pub(crate) fn run_phase<D: Driver>(
     // Worker states: each owns its shard bookkeeping plus disjoint
     // mutable slices of the node and RNG arrays. The cores move out of
     // the host for the duration of the phase and return at the end.
-    let mut workers: Vec<ShardWorker<'_, D>> = Vec::with_capacity(shard_count);
+    let mut workers: Vec<ShardWorker<'_, P>> = Vec::with_capacity(shard_count);
     {
-        let mut nodes_rest: &mut [D::State] = &mut nodes;
+        let mut nodes_rest: &mut [P::State] = &mut nodes;
         let mut rngs_rest: &mut [ChaCha8Rng] = &mut node_rngs;
         for core in std::mem::take(cores) {
             let span = core.node_hi - core.node_lo;
@@ -1650,11 +1559,11 @@ pub(crate) fn run_phase<D: Driver>(
     // atomics suffice.
     let mode = std::sync::atomic::AtomicU8::new(MODE_NORMAL);
     let mode_ref = &mode;
-    let step = move |w: usize, st: &mut ShardWorker<'_, D>, round: u64| -> StepReport {
+    let step = move |w: usize, st: &mut ShardWorker<'_, P>, round: u64| -> StepReport {
         let parity = (round % 2) as usize;
         let (next_active, violation) = run_shard(
             graph,
-            driver,
+            protocol,
             &mut st.sh,
             st.nodes,
             st.rngs,
@@ -1755,7 +1664,7 @@ pub(crate) fn run_phase<D: Driver>(
     // `dirty_out` (slots written in round `R`, in buffer `(R+1) % 2`).
     // A panicking phase unwinds past this and leaks payloads, which is
     // sound. POD messages skip the walk entirely.
-    if std::mem::needs_drop::<D::Msg>() && stats.rounds > 0 {
+    if std::mem::needs_drop::<P::Msg>() && stats.rounds > 0 {
         let last = stats.rounds - 1;
         let buf_in = &bufs[(last % 2) as usize];
         let buf_out = &bufs[((last + 1) % 2) as usize];
@@ -1816,48 +1725,78 @@ pub(crate) fn run_phase<D: Driver>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Session;
+
+    /// What the state-inspecting fixtures below return: the final
+    /// per-node states plus the phase statistics.
+    #[derive(Debug)]
+    struct Outcome<S> {
+        nodes: Vec<S>,
+        stats: RunStats,
+    }
+
+    fn outcome<S>(nodes: Vec<S>, stats: &RunStats) -> Outcome<S> {
+        Outcome {
+            nodes,
+            stats: stats.clone(),
+        }
+    }
+
+    /// Runs `p` as the single phase of a fresh session.
+    fn run_once<P: Protocol + Sync>(
+        g: &Graph,
+        p: P,
+        cfg: &SimConfig,
+    ) -> Result<P::Output, SimError> {
+        Session::new(g, cfg.clone()).run(p)
+    }
 
     /// Flood: node 0 starts; everyone forwards one token to each
     /// neighbor exactly once.
+    struct Flood;
+
     #[derive(Debug, Default, Clone, PartialEq, Eq)]
-    struct Flood {
+    struct FloodNode {
         seen: bool,
         fired: bool,
         heard_at: Option<u64>,
     }
 
-    impl NodeAlgorithm for Flood {
+    impl Protocol for Flood {
         type Msg = u32;
-        fn round(&mut self, ctx: &mut RoundCtx<'_, u32>) {
+        type State = FloodNode;
+        type Output = Outcome<FloodNode>;
+        fn init(&mut self, graph: &Graph) -> Vec<FloodNode> {
+            vec![FloodNode::default(); graph.n()]
+        }
+        fn round(&self, st: &mut FloodNode, ctx: &mut RoundCtx<'_, u32>) {
             if ctx.round() == 0 && ctx.node() == 0 {
-                self.seen = true;
-                self.heard_at = Some(0);
+                st.seen = true;
+                st.heard_at = Some(0);
             }
-            if !self.seen && !ctx.inbox().is_empty() {
-                self.seen = true;
-                self.heard_at = Some(ctx.round());
+            if !st.seen && !ctx.inbox().is_empty() {
+                st.seen = true;
+                st.heard_at = Some(ctx.round());
             }
-            if self.seen && !self.fired {
-                self.fired = true;
+            if st.seen && !st.fired {
+                st.fired = true;
                 for i in 0..ctx.degree() {
                     ctx.send_nth(i, 1);
                 }
             }
         }
-        fn halted(&self) -> bool {
-            self.fired || !self.seen
+        fn halted(&self, st: &FloodNode) -> bool {
+            st.fired || !st.seen
+        }
+        fn finish(self, _: &Graph, nodes: Vec<FloodNode>, stats: &RunStats) -> Self::Output {
+            outcome(nodes, stats)
         }
     }
 
     #[test]
     fn flood_reaches_everyone_in_ecc_rounds() {
         let g = lcs_graph::generators::path(6);
-        let out = run(
-            &g,
-            (0..6).map(|_| Flood::default()).collect(),
-            &SimConfig::default(),
-        )
-        .unwrap();
+        let out = run_once(&g, Flood, &SimConfig::default()).unwrap();
         for (v, node) in out.nodes.iter().enumerate() {
             assert_eq!(node.heard_at, Some(v as u64), "node {v}");
         }
@@ -1877,15 +1816,13 @@ mod tests {
             lcs_graph::generators::path(23),
             lcs_graph::generators::complete(17),
         ] {
-            let n = g.n();
-            let mk = || (0..n).map(|_| Flood::default()).collect::<Vec<_>>();
-            let base = run(&g, mk(), &SimConfig::default()).unwrap();
+            let base = run_once(&g, Flood, &SimConfig::default()).unwrap();
             for shards in [2, 4, 7, 64] {
                 let cfg = SimConfig {
                     shards,
                     ..SimConfig::default()
                 };
-                let out = run(&g, mk(), &cfg).unwrap();
+                let out = run_once(&g, Flood, &cfg).unwrap();
                 assert_eq!(out.nodes, base.nodes, "shards={shards}");
                 assert_eq!(out.stats, base.stats, "shards={shards}");
             }
@@ -1905,7 +1842,7 @@ mod tests {
                 shards,
                 ..SimConfig::default()
             };
-            let out = run(&g, (0..8).map(|_| Flood::default()).collect(), &cfg).unwrap();
+            let out = run_once(&g, Flood, &cfg).unwrap();
             // Flood crosses every edge exactly once in each direction.
             assert_eq!(
                 out.stats.per_edge_messages,
@@ -1923,15 +1860,22 @@ mod tests {
     /// Pure mail-driven relay with an invocation log: the event-driven
     /// scheduler must invoke a node ONLY at round 0 and on rounds with
     /// incoming mail — never in between.
+    struct Relay;
+
     #[derive(Debug, Default, Clone, PartialEq, Eq)]
-    struct Relay {
+    struct RelayNode {
         invoked_at: Vec<u64>,
     }
 
-    impl NodeAlgorithm for Relay {
+    impl Protocol for Relay {
         type Msg = u32;
-        fn round(&mut self, ctx: &mut RoundCtx<'_, u32>) {
-            self.invoked_at.push(ctx.round());
+        type State = RelayNode;
+        type Output = Outcome<RelayNode>;
+        fn init(&mut self, graph: &Graph) -> Vec<RelayNode> {
+            vec![RelayNode::default(); graph.n()]
+        }
+        fn round(&self, st: &mut RelayNode, ctx: &mut RoundCtx<'_, u32>) {
+            st.invoked_at.push(ctx.round());
             let fire = (ctx.round() == 0 && ctx.node() == 0)
                 || ctx.inbox().iter().any(|&(from, _)| from < ctx.node());
             if fire {
@@ -1940,20 +1884,18 @@ mod tests {
                 }
             }
         }
-        fn halted(&self) -> bool {
+        fn halted(&self, _: &RelayNode) -> bool {
             true // activity is purely mail-driven
+        }
+        fn finish(self, _: &Graph, nodes: Vec<RelayNode>, stats: &RunStats) -> Self::Output {
+            outcome(nodes, stats)
         }
     }
 
     #[test]
     fn rounds_cost_active_nodes_not_n() {
         let g = lcs_graph::generators::path(5);
-        let out = run(
-            &g,
-            (0..5).map(|_| Relay::default()).collect(),
-            &SimConfig::default(),
-        )
-        .unwrap();
+        let out = run_once(&g, Relay, &SimConfig::default()).unwrap();
         // Node 0 runs only at phase start; node k > 0 additionally runs
         // exactly when the token reaches it (round k) and when its
         // forward neighbor's... nothing else: the hook must NOT run on
@@ -1978,45 +1920,62 @@ mod tests {
     #[test]
     fn cross_shard_wakes_match_sequential_invocations() {
         let g = lcs_graph::generators::path(8);
-        let mk = || (0..8).map(|_| Relay::default()).collect::<Vec<_>>();
-        let base = run(&g, mk(), &SimConfig::default()).unwrap();
+        let base = run_once(&g, Relay, &SimConfig::default()).unwrap();
         for shards in [2usize, 4, 8] {
             let cfg = SimConfig {
                 shards,
                 ..SimConfig::default()
             };
-            let out = run(&g, mk(), &cfg).unwrap();
+            let out = run_once(&g, Relay, &cfg).unwrap();
             assert_eq!(out.nodes, base.nodes, "shards={shards}");
             assert_eq!(out.stats, base.stats, "shards={shards}");
         }
     }
 
-    /// A node that overrides `wake` to stay scheduled WITHOUT mail (the
-    /// explicit quiescence contract): a ticking clock. Everyone else
-    /// sleeps after round 0, so rounds are O(1) regardless of n.
-    #[derive(Debug)]
+    /// Overrides `wake` to keep node 0 scheduled WITHOUT mail (the
+    /// explicit quiescence contract): a clock ticking `ticks` rounds.
+    /// Everyone else sleeps after round 0, so rounds are O(1)
+    /// regardless of n.
     struct Clock {
+        ticks: u64,
+    }
+
+    #[derive(Debug)]
+    struct ClockNode {
         ticks: u64,
         invocations: u64,
     }
 
-    impl NodeAlgorithm for Clock {
+    impl Protocol for Clock {
         type Msg = ();
-        fn round(&mut self, _ctx: &mut RoundCtx<'_, ()>) {
-            self.invocations += 1;
-            if self.ticks > 0 {
-                self.ticks -= 1;
+        type State = ClockNode;
+        type Output = Outcome<ClockNode>;
+        fn init(&mut self, graph: &Graph) -> Vec<ClockNode> {
+            (0..graph.n())
+                .map(|v| ClockNode {
+                    ticks: if v == 0 { self.ticks } else { 0 },
+                    invocations: 0,
+                })
+                .collect()
+        }
+        fn round(&self, st: &mut ClockNode, _ctx: &mut RoundCtx<'_, ()>) {
+            st.invocations += 1;
+            if st.ticks > 0 {
+                st.ticks -= 1;
             }
         }
-        fn halted(&self) -> bool {
+        fn halted(&self, _: &ClockNode) -> bool {
             true
         }
-        fn wake(&self) -> Wake {
-            if self.ticks > 0 {
+        fn wake(&self, st: &ClockNode) -> Wake {
+            if st.ticks > 0 {
                 Wake::Stay
             } else {
                 Wake::Sleep
             }
+        }
+        fn finish(self, _: &Graph, nodes: Vec<ClockNode>, stats: &RunStats) -> Self::Output {
+            outcome(nodes, stats)
         }
     }
 
@@ -2028,13 +1987,7 @@ mod tests {
                 shards,
                 ..SimConfig::default()
             };
-            let nodes = (0..50)
-                .map(|v| Clock {
-                    ticks: if v == 0 { 10 } else { 0 },
-                    invocations: 0,
-                })
-                .collect();
-            let out = run(&g, nodes, &cfg).unwrap();
+            let out = run_once(&g, Clock { ticks: 10 }, &cfg).unwrap();
             assert_eq!(out.stats.rounds, 10, "shards={shards}");
             assert_eq!(out.nodes[0].invocations, 10, "shards={shards}");
             for v in 1..50 {
@@ -2050,44 +2003,63 @@ mod tests {
 
     /// Un-halt after quiescence: a node that slept for several rounds is
     /// re-activated by late mail and acts again — across a shard
-    /// boundary.
-    #[derive(Debug)]
+    /// boundary. Node 0 stays awake for `countdown` rounds and sends at
+    /// `fire_at`; node 1 sleeps until that message arrives and echoes.
     struct LateCaller {
         fire_at: u64,
+        countdown: u64,
+    }
+
+    #[derive(Debug)]
+    struct LateCallerNode {
         countdown: u64,
         echoed: bool,
         got_echo_at: Option<u64>,
     }
 
-    impl NodeAlgorithm for LateCaller {
+    impl Protocol for LateCaller {
         type Msg = u32;
-        fn round(&mut self, ctx: &mut RoundCtx<'_, u32>) {
+        type State = LateCallerNode;
+        type Output = Outcome<LateCallerNode>;
+        fn init(&mut self, graph: &Graph) -> Vec<LateCallerNode> {
+            (0..graph.n())
+                .map(|v| LateCallerNode {
+                    countdown: if v == 0 { self.countdown } else { 0 },
+                    echoed: false,
+                    got_echo_at: None,
+                })
+                .collect()
+        }
+        fn round(&self, st: &mut LateCallerNode, ctx: &mut RoundCtx<'_, u32>) {
             if ctx.node() == 0 {
                 if ctx.round() == self.fire_at {
                     ctx.send(1, 7);
                 }
                 if let Some(&(_, m)) = ctx.inbox().first() {
-                    self.got_echo_at = Some(ctx.round());
+                    st.got_echo_at = Some(ctx.round());
                     assert_eq!(m, 8);
                 }
-                if self.countdown > 0 {
-                    self.countdown -= 1;
+                if st.countdown > 0 {
+                    st.countdown -= 1;
                 }
             } else if let Some(&(_, m)) = ctx.inbox().first() {
                 // Asleep since round 0; woken by the late message.
-                self.echoed = true;
+                st.echoed = true;
                 ctx.send(0, m + 1);
             }
         }
-        fn halted(&self) -> bool {
+        fn halted(&self, _: &LateCallerNode) -> bool {
             true
         }
-        fn wake(&self) -> Wake {
-            if self.countdown > 0 {
+        fn wake(&self, st: &LateCallerNode) -> Wake {
+            if st.countdown > 0 {
                 Wake::Stay
             } else {
                 Wake::Sleep
             }
+        }
+        fn finish(self, _: &Graph, nodes: Vec<LateCallerNode>, stats: &RunStats) -> Self::Output {
+            outcome(nodes, stats)
         }
     }
 
@@ -2099,13 +2071,11 @@ mod tests {
                 shards,
                 ..SimConfig::default()
             };
-            let mk = |v: u32| LateCaller {
+            let caller = LateCaller {
                 fire_at: 5,
-                countdown: if v == 0 { 6 } else { 0 },
-                echoed: false,
-                got_echo_at: None,
+                countdown: 6,
             };
-            let out = run(&g, vec![mk(0), mk(1)], &cfg).unwrap();
+            let out = run_once(&g, caller, &cfg).unwrap();
             assert!(out.nodes[1].echoed, "shards={shards}");
             // Sent at 5, echoed at 6, received at 7.
             assert_eq!(out.nodes[0].got_echo_at, Some(7), "shards={shards}");
@@ -2114,15 +2084,20 @@ mod tests {
         }
     }
 
-    /// A deliberately misbehaving node for violation tests.
-    #[derive(Debug)]
+    /// A deliberately misbehaving node-0 program for violation tests;
+    /// every other node is inert.
     struct Misbehave {
         mode: u8,
     }
 
-    impl NodeAlgorithm for Misbehave {
+    impl Protocol for Misbehave {
         type Msg = u64;
-        fn round(&mut self, ctx: &mut RoundCtx<'_, u64>) {
+        type State = ();
+        type Output = ();
+        fn init(&mut self, graph: &Graph) -> Vec<()> {
+            vec![(); graph.n()]
+        }
+        fn round(&self, _: &mut (), ctx: &mut RoundCtx<'_, u64>) {
             if ctx.round() == 0 && ctx.node() == 0 {
                 match self.mode {
                     0 => ctx.send(2, 1), // non-neighbor on a path 0-1-2
@@ -2134,16 +2109,16 @@ mod tests {
                 }
             }
         }
-        fn halted(&self) -> bool {
+        fn halted(&self, _: &()) -> bool {
             true
         }
+        fn finish(self, _: &Graph, _: Vec<()>, _: &RunStats) {}
     }
 
     #[test]
     fn invalid_destination_detected() {
         let g = lcs_graph::generators::path(3);
-        let nodes = (0..3).map(|_| Misbehave { mode: 0 }).collect();
-        let err = run(&g, nodes, &SimConfig::default()).unwrap_err();
+        let err = run_once(&g, Misbehave { mode: 0 }, &SimConfig::default()).unwrap_err();
         assert_eq!(
             err,
             SimError::InvalidDestination {
@@ -2157,8 +2132,7 @@ mod tests {
     #[test]
     fn channel_overflow_detected() {
         let g = lcs_graph::generators::path(3);
-        let nodes = (0..3).map(|_| Misbehave { mode: 1 }).collect();
-        let err = run(&g, nodes, &SimConfig::default()).unwrap_err();
+        let err = run_once(&g, Misbehave { mode: 1 }, &SimConfig::default()).unwrap_err();
         assert_eq!(
             err,
             SimError::ChannelOverflow {
@@ -2194,31 +2168,35 @@ mod tests {
                 shards: 3,
                 ..SimConfig::default()
             };
-            let nodes = (0..3).map(|_| Misbehave { mode }).collect();
-            assert_eq!(run(&g, nodes, &cfg).unwrap_err(), expect);
+            assert_eq!(run_once(&g, Misbehave { mode }, &cfg).unwrap_err(), expect);
         }
     }
 
     /// Sends an oversized message.
-    #[derive(Debug)]
     struct Oversize;
 
-    impl NodeAlgorithm for Oversize {
+    impl Protocol for Oversize {
         type Msg = (u64, (u64, u64));
-        fn round(&mut self, ctx: &mut RoundCtx<'_, Self::Msg>) {
+        type State = ();
+        type Output = ();
+        fn init(&mut self, graph: &Graph) -> Vec<()> {
+            vec![(); graph.n()]
+        }
+        fn round(&self, _: &mut (), ctx: &mut RoundCtx<'_, Self::Msg>) {
             if ctx.round() == 0 && ctx.node() == 0 {
                 ctx.send(1, (1, (2, 3))); // 6 words > default 4
             }
         }
-        fn halted(&self) -> bool {
+        fn halted(&self, _: &()) -> bool {
             true
         }
+        fn finish(self, _: &Graph, _: Vec<()>, _: &RunStats) {}
     }
 
     #[test]
     fn oversized_message_detected() {
         let g = lcs_graph::generators::path(2);
-        let err = run(&g, vec![Oversize, Oversize], &SimConfig::default()).unwrap_err();
+        let err = run_once(&g, Oversize, &SimConfig::default()).unwrap_err();
         assert_eq!(
             err,
             SimError::MessageTooLarge {
@@ -2230,15 +2208,20 @@ mod tests {
     }
 
     /// Never halts.
-    #[derive(Debug)]
     struct Spinner;
 
-    impl NodeAlgorithm for Spinner {
+    impl Protocol for Spinner {
         type Msg = ();
-        fn round(&mut self, _ctx: &mut RoundCtx<'_, ()>) {}
-        fn halted(&self) -> bool {
+        type State = ();
+        type Output = ();
+        fn init(&mut self, graph: &Graph) -> Vec<()> {
+            vec![(); graph.n()]
+        }
+        fn round(&self, _: &mut (), _ctx: &mut RoundCtx<'_, ()>) {}
+        fn halted(&self, _: &()) -> bool {
             false
         }
+        fn finish(self, _: &Graph, _: Vec<()>, _: &RunStats) {}
     }
 
     #[test]
@@ -2248,48 +2231,57 @@ mod tests {
             max_rounds: 10,
             ..SimConfig::default()
         };
-        let err = run(&g, vec![Spinner, Spinner], &cfg).unwrap_err();
+        let err = run_once(&g, Spinner, &cfg).unwrap_err();
         assert_eq!(err, SimError::RoundLimitExceeded { limit: 10 });
     }
 
     /// Ping-pong: verifies messages are delivered exactly one round
     /// later and that per-node RNGs are deterministic.
-    #[derive(Debug, Default)]
-    struct PingPong {
+    struct PingPong;
+
+    #[derive(Debug, Default, Clone)]
+    struct PingPongNode {
         got: Vec<(u64, u32)>,
         sent: bool,
         coin: Option<u64>,
     }
 
-    impl NodeAlgorithm for PingPong {
+    impl Protocol for PingPong {
         type Msg = u32;
-        fn round(&mut self, ctx: &mut RoundCtx<'_, u32>) {
-            if self.coin.is_none() {
-                self.coin = Some(ctx.rng().gen());
+        type State = PingPongNode;
+        type Output = Outcome<PingPongNode>;
+        fn init(&mut self, graph: &Graph) -> Vec<PingPongNode> {
+            vec![PingPongNode::default(); graph.n()]
+        }
+        fn round(&self, st: &mut PingPongNode, ctx: &mut RoundCtx<'_, u32>) {
+            if st.coin.is_none() {
+                st.coin = Some(ctx.rng().gen());
             }
             if ctx.node() == 0 && ctx.round() == 0 {
                 ctx.send(1, 7);
-                self.sent = true;
+                st.sent = true;
             }
             for &(_, m) in ctx.inbox() {
-                self.got.push((ctx.round(), m));
-                if ctx.node() == 1 && !self.sent {
+                st.got.push((ctx.round(), m));
+                if ctx.node() == 1 && !st.sent {
                     ctx.send(0, m + 1);
-                    self.sent = true;
+                    st.sent = true;
                 }
             }
         }
-        fn halted(&self) -> bool {
+        fn halted(&self, _: &PingPongNode) -> bool {
             true
+        }
+        fn finish(self, _: &Graph, nodes: Vec<PingPongNode>, stats: &RunStats) -> Self::Output {
+            outcome(nodes, stats)
         }
     }
 
     #[test]
     fn delivery_latency_is_one_round_and_rng_deterministic() {
         let g = lcs_graph::generators::path(2);
-        let mk = || vec![PingPong::default(), PingPong::default()];
-        let out1 = run(&g, mk(), &SimConfig::default()).unwrap();
-        let out2 = run(&g, mk(), &SimConfig::default()).unwrap();
+        let out1 = run_once(&g, PingPong, &SimConfig::default()).unwrap();
+        let out2 = run_once(&g, PingPong, &SimConfig::default()).unwrap();
         assert_eq!(out1.nodes[1].got, vec![(1, 7)]);
         assert_eq!(out1.nodes[0].got, vec![(2, 8)]);
         assert_eq!(out1.nodes[0].coin, out2.nodes[0].coin);
@@ -2300,26 +2292,31 @@ mod tests {
 
     /// `send_nth` out-of-range panics (programmer error, not a model
     /// violation — there is no node id to report).
-    #[derive(Debug)]
     struct BadIndex;
 
-    impl NodeAlgorithm for BadIndex {
+    impl Protocol for BadIndex {
         type Msg = u32;
-        fn round(&mut self, ctx: &mut RoundCtx<'_, u32>) {
+        type State = ();
+        type Output = ();
+        fn init(&mut self, graph: &Graph) -> Vec<()> {
+            vec![(); graph.n()]
+        }
+        fn round(&self, _: &mut (), ctx: &mut RoundCtx<'_, u32>) {
             if ctx.node() == 0 {
                 ctx.send_nth(5, 1);
             }
         }
-        fn halted(&self) -> bool {
+        fn halted(&self, _: &()) -> bool {
             true
         }
+        fn finish(self, _: &Graph, _: Vec<()>, _: &RunStats) {}
     }
 
     #[test]
     #[should_panic(expected = "index out of bounds")]
     fn send_nth_out_of_range_panics() {
         let g = lcs_graph::generators::path(2);
-        let _ = run(&g, vec![BadIndex, BadIndex], &SimConfig::default());
+        let _ = run_once(&g, BadIndex, &SimConfig::default());
     }
 
     /// The pool path must propagate the same programmer-error panic
@@ -2332,20 +2329,24 @@ mod tests {
             shards: 4,
             ..SimConfig::default()
         };
-        let _ = run(&g, vec![BadIndex, BadIndex, BadIndex, BadIndex], &cfg);
+        let _ = run_once(&g, BadIndex, &cfg);
     }
 
     /// Node 0 violates the model; a node in a *higher* shard panics in
     /// the same round. The sequential engine reports the violation (it
     /// never reaches the panicking node), so the pool must too.
-    #[derive(Debug)]
     struct ViolateOrPanic {
         panic_node: NodeId,
     }
 
-    impl NodeAlgorithm for ViolateOrPanic {
+    impl Protocol for ViolateOrPanic {
         type Msg = u64;
-        fn round(&mut self, ctx: &mut RoundCtx<'_, u64>) {
+        type State = ();
+        type Output = ();
+        fn init(&mut self, graph: &Graph) -> Vec<()> {
+            vec![(); graph.n()]
+        }
+        fn round(&self, _: &mut (), ctx: &mut RoundCtx<'_, u64>) {
             if ctx.round() == 0 {
                 if ctx.node() == 0 {
                     ctx.send(2, 1); // non-neighbor on a path: violation
@@ -2355,9 +2356,10 @@ mod tests {
                 }
             }
         }
-        fn halted(&self) -> bool {
+        fn halted(&self, _: &()) -> bool {
             true
         }
+        fn finish(self, _: &Graph, _: Vec<()>, _: &RunStats) {}
     }
 
     #[test]
@@ -2377,8 +2379,12 @@ mod tests {
             // first and stops the scan before node 3 ever runs — but
             // only within a shard; across shards both events happen in
             // the same round and the coordinator must order them.
-            let nodes = (0..4).map(|_| ViolateOrPanic { panic_node: 3 }).collect();
-            assert_eq!(run(&g, nodes, &cfg).unwrap_err(), expect, "shards={shards}");
+            let p = ViolateOrPanic { panic_node: 3 };
+            assert_eq!(
+                run_once(&g, p, &cfg).unwrap_err(),
+                expect,
+                "shards={shards}"
+            );
         }
     }
 
@@ -2386,11 +2392,15 @@ mod tests {
     fn panic_in_lower_shard_outranks_violation_in_higher_shard() {
         // Mirror image: node 1 panics, node 2 (a higher shard at
         // shards=4) violates. Sequential order hits the panic first.
-        #[derive(Debug)]
         struct PanicThenViolate;
-        impl NodeAlgorithm for PanicThenViolate {
+        impl Protocol for PanicThenViolate {
             type Msg = u64;
-            fn round(&mut self, ctx: &mut RoundCtx<'_, u64>) {
+            type State = ();
+            type Output = ();
+            fn init(&mut self, graph: &Graph) -> Vec<()> {
+                vec![(); graph.n()]
+            }
+            fn round(&self, _: &mut (), ctx: &mut RoundCtx<'_, u64>) {
                 if ctx.round() == 0 {
                     if ctx.node() == 1 {
                         panic!("node 1 panicked");
@@ -2400,9 +2410,10 @@ mod tests {
                     }
                 }
             }
-            fn halted(&self) -> bool {
+            fn halted(&self, _: &()) -> bool {
                 true
             }
+            fn finish(self, _: &Graph, _: Vec<()>, _: &RunStats) {}
         }
         let g = lcs_graph::generators::path(4);
         for shards in [1usize, 4] {
@@ -2410,9 +2421,8 @@ mod tests {
                 shards,
                 ..SimConfig::default()
             };
-            let nodes = (0..4).map(|_| PanicThenViolate).collect::<Vec<_>>();
             let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = run(&g, nodes, &cfg);
+                let _ = run_once(&g, PanicThenViolate, &cfg);
             }))
             .expect_err("panic must win, shards={shards}");
             let msg = payload
@@ -2533,8 +2543,7 @@ mod tests {
         let g = lcs_graph::generators::path(4);
         for (plan, needle) in cases {
             let cfg = fault_cfg(plan, 1);
-            let err = run(&g, (0..4).map(|_| Flood::default()).collect(), &cfg)
-                .expect_err("plan must be rejected");
+            let err = run_once(&g, Flood, &cfg).expect_err("plan must be rejected");
             match &err {
                 SimError::FaultConfig { reason } => assert!(
                     reason.contains(needle),
@@ -2556,7 +2565,6 @@ mod tests {
             lcs_graph::generators::path(23),
             lcs_graph::generators::complete(17),
         ] {
-            let n = g.n();
             let plan = FaultPlan {
                 drop_rate: 0.25,
                 delay_rate: 0.25,
@@ -2565,13 +2573,12 @@ mod tests {
                 crashes: Vec::new(),
                 fault_seed: 0xC0FFEE,
             };
-            let mk = || (0..n).map(|_| Flood::default()).collect::<Vec<_>>();
-            let base = run(&g, mk(), &fault_cfg(plan.clone(), 1)).unwrap();
+            let base = run_once(&g, Flood, &fault_cfg(plan.clone(), 1)).unwrap();
             // On the sparse path the flood may die out before both fault
             // kinds fire; at least one must (the clique exercises both).
             assert!(base.stats.dropped + base.stats.delayed > 0);
             for shards in [2usize, 3, 8] {
-                let out = run(&g, mk(), &fault_cfg(plan.clone(), shards)).unwrap();
+                let out = run_once(&g, Flood, &fault_cfg(plan.clone(), shards)).unwrap();
                 assert_eq!(out.nodes, base.nodes, "shards={shards}");
                 assert_eq!(out.stats, base.stats, "shards={shards}");
                 assert_eq!(
@@ -2598,12 +2605,7 @@ mod tests {
             fault_seed: 11,
         };
         for shards in [1usize, 4] {
-            let out = run(
-                &g,
-                (0..6).map(|_| Flood::default()).collect(),
-                &fault_cfg(plan.clone(), shards),
-            )
-            .unwrap();
+            let out = run_once(&g, Flood, &fault_cfg(plan.clone(), shards)).unwrap();
             // The flood still reaches everyone, strictly later than the
             // fault-free schedule (node v hears at round v unfaulted).
             for (v, node) in out.nodes.iter().enumerate().skip(1) {
@@ -2622,35 +2624,39 @@ mod tests {
         // Persistent sender: node 0 re-sends its token every round until
         // node 1 acks; the crash window of node 1 swallows the first
         // attempts.
-        #[derive(Debug, Default, Clone, PartialEq, Eq)]
-        struct Nag {
+        struct Nag;
+        #[derive(Debug, Default, Clone)]
+        struct NagNode {
             acked: bool,
             heard_at: Option<u64>,
         }
-        impl NodeAlgorithm for Nag {
+        impl Protocol for Nag {
             type Msg = u32;
-            fn round(&mut self, ctx: &mut RoundCtx<'_, u32>) {
+            type State = NagNode;
+            type Output = Outcome<NagNode>;
+            fn init(&mut self, graph: &Graph) -> Vec<NagNode> {
+                vec![NagNode::default(); graph.n()]
+            }
+            fn round(&self, st: &mut NagNode, ctx: &mut RoundCtx<'_, u32>) {
                 if ctx.node() == 0 {
                     if !ctx.inbox().is_empty() {
-                        self.acked = true;
+                        st.acked = true;
                     }
-                    if !self.acked {
+                    if !st.acked {
                         ctx.send_nth(0, 7);
                     }
-                } else if self.heard_at.is_none() && !ctx.inbox().is_empty() {
-                    self.heard_at = Some(ctx.round());
+                } else if st.heard_at.is_none() && !ctx.inbox().is_empty() {
+                    st.heard_at = Some(ctx.round());
                     ctx.send_nth(0, 1); // ack back
                 }
             }
-            fn halted(&self) -> bool {
-                self.acked || self.heard_at.is_some()
+            // The derived wake keeps an un-acked sender (and a relay
+            // still waiting for its first token) scheduled every round.
+            fn halted(&self, st: &NagNode) -> bool {
+                st.acked || st.heard_at.is_some()
             }
-            fn wake(&self) -> Wake {
-                if self.halted() {
-                    Wake::Sleep
-                } else {
-                    Wake::Stay
-                }
+            fn finish(self, _: &Graph, nodes: Vec<NagNode>, stats: &RunStats) -> Self::Output {
+                outcome(nodes, stats)
             }
         }
         let g = lcs_graph::generators::path(2);
@@ -2663,12 +2669,7 @@ mod tests {
             ..FaultPlan::default()
         };
         for shards in [1usize, 2] {
-            let out = run(
-                &g,
-                (0..2).map(|_| Nag::default()).collect(),
-                &fault_cfg(plan.clone(), shards),
-            )
-            .unwrap();
+            let out = run_once(&g, Nag, &fault_cfg(plan.clone(), shards)).unwrap();
             // Deliveries due in rounds 1..6 land on a dead node; the
             // first send surviving the outage arrives at round 6.
             assert_eq!(out.nodes[1].heard_at, Some(6), "shards={shards}");
@@ -2694,12 +2695,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let out = run(
-            &g,
-            (0..3).map(|_| Flood::default()).collect(),
-            &fault_cfg(crash_late, 1),
-        )
-        .unwrap();
+        let out = run_once(&g, Flood, &fault_cfg(crash_late, 1)).unwrap();
         assert!(out.stats.rounds < 50, "rounds={}", out.stats.rounds);
         // With a recovery at round 60 the run must survive to fire it
         // (the recovered node is re-activated and may act on its state).
@@ -2711,12 +2707,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let out = run(
-            &g,
-            (0..3).map(|_| Flood::default()).collect(),
-            &fault_cfg(crash_recover, 1),
-        )
-        .unwrap();
+        let out = run_once(&g, Flood, &fault_cfg(crash_recover, 1)).unwrap();
         assert!(out.stats.rounds > 60, "rounds={}", out.stats.rounds);
     }
 
@@ -2725,8 +2716,7 @@ mod tests {
     #[test]
     fn absent_fault_plan_changes_nothing() {
         let g = lcs_graph::generators::complete(9);
-        let mk = || (0..9).map(|_| Flood::default()).collect::<Vec<_>>();
-        let base = run(&g, mk(), &SimConfig::default()).unwrap();
+        let base = run_once(&g, Flood, &SimConfig::default()).unwrap();
         let zeroed = FaultPlan {
             drop_rate: 0.0,
             delay_rate: 0.0,
@@ -2735,7 +2725,7 @@ mod tests {
             crashes: Vec::new(),
             fault_seed: 42,
         };
-        let out = run(&g, mk(), &fault_cfg(zeroed, 1)).unwrap();
+        let out = run_once(&g, Flood, &fault_cfg(zeroed, 1)).unwrap();
         assert_eq!(out.nodes, base.nodes);
         assert_eq!(out.stats.fingerprint(), base.stats.fingerprint());
         assert_eq!(base.stats.dropped, 0);

@@ -9,7 +9,7 @@
 //! global verification AND).
 
 use crate::message::Message;
-use crate::node::{NodeAlgorithm, RoundCtx, Wake};
+use crate::node::{RoundCtx, Wake};
 use crate::protocol::Protocol;
 use crate::stats::RunStats;
 use lcs_graph::{Graph, NodeId};
@@ -96,7 +96,7 @@ pub struct ConvergecastNode {
 
 impl ConvergecastNode {
     /// Creates the node state; `value` is this node's contribution.
-    pub fn new(pos: TreePosition, op: AggOp, value: u64, broadcast: bool) -> Self {
+    pub(crate) fn new(pos: TreePosition, op: AggOp, value: u64, broadcast: bool) -> Self {
         let pending = pos.children.len();
         ConvergecastNode {
             pos,
@@ -111,56 +111,6 @@ impl ConvergecastNode {
             resolved: false,
             result: None,
         }
-    }
-}
-
-impl NodeAlgorithm for ConvergecastNode {
-    type Msg = TreeMsg;
-
-    fn round(&mut self, ctx: &mut RoundCtx<'_, TreeMsg>) {
-        if !self.pos.in_tree {
-            return;
-        }
-        if !self.resolved {
-            self.resolved = true;
-            (self.parent_idx, self.children_idx) =
-                ctx.tree_indices(self.pos.parent, &self.pos.children);
-        }
-        for &(from, ref msg) in ctx.inbox() {
-            match msg {
-                TreeMsg::Up(v) => {
-                    debug_assert!(self.pos.children.contains(&from));
-                    self.acc = self.op.apply(self.acc, *v);
-                    self.pending -= 1;
-                }
-                TreeMsg::Down(v) => {
-                    self.result = Some(*v);
-                }
-            }
-        }
-        if self.pending == 0 && !self.sent_up {
-            self.sent_up = true;
-            if self.pos.is_root {
-                self.result = Some(self.acc);
-            } else if let Some(pi) = self.parent_idx {
-                ctx.send_nth(pi, TreeMsg::Up(self.acc));
-            }
-        }
-        if self.broadcast && !self.sent_down {
-            if let Some(r) = self.result {
-                self.sent_down = true;
-                for i in 0..self.children_idx.len() {
-                    ctx.send_nth(self.children_idx[i], TreeMsg::Down(r));
-                }
-            }
-        }
-    }
-
-    fn halted(&self) -> bool {
-        if !self.pos.in_tree {
-            return true;
-        }
-        self.sent_up && (!self.broadcast || self.sent_down)
     }
 }
 
@@ -215,12 +165,49 @@ impl Protocol for TreeAggregate {
             .collect()
     }
 
-    fn round(&self, state: &mut ConvergecastNode, ctx: &mut RoundCtx<'_, TreeMsg>) {
-        NodeAlgorithm::round(state, ctx);
+    fn round(&self, st: &mut ConvergecastNode, ctx: &mut RoundCtx<'_, TreeMsg>) {
+        if !st.pos.in_tree {
+            return;
+        }
+        if !st.resolved {
+            st.resolved = true;
+            (st.parent_idx, st.children_idx) = ctx.tree_indices(st.pos.parent, &st.pos.children);
+        }
+        for &(from, ref msg) in ctx.inbox() {
+            match msg {
+                TreeMsg::Up(v) => {
+                    debug_assert!(st.pos.children.contains(&from));
+                    st.acc = st.op.apply(st.acc, *v);
+                    st.pending -= 1;
+                }
+                TreeMsg::Down(v) => {
+                    st.result = Some(*v);
+                }
+            }
+        }
+        if st.pending == 0 && !st.sent_up {
+            st.sent_up = true;
+            if st.pos.is_root {
+                st.result = Some(st.acc);
+            } else if let Some(pi) = st.parent_idx {
+                ctx.send_nth(pi, TreeMsg::Up(st.acc));
+            }
+        }
+        if st.broadcast && !st.sent_down {
+            if let Some(r) = st.result {
+                st.sent_down = true;
+                for i in 0..st.children_idx.len() {
+                    ctx.send_nth(st.children_idx[i], TreeMsg::Down(r));
+                }
+            }
+        }
     }
 
-    fn halted(&self, state: &ConvergecastNode) -> bool {
-        NodeAlgorithm::halted(state)
+    fn halted(&self, st: &ConvergecastNode) -> bool {
+        if !st.pos.in_tree {
+            return true;
+        }
+        st.sent_up && (!st.broadcast || st.sent_down)
     }
 
     fn wake(&self, _state: &ConvergecastNode) -> Wake {
@@ -274,7 +261,7 @@ pub struct PrefixNumberNode {
 
 impl PrefixNumberNode {
     /// Creates the state for one node.
-    pub fn new(pos: TreePosition, marked: bool) -> Self {
+    pub(crate) fn new(pos: TreePosition, marked: bool) -> Self {
         let pending = pos.children.len();
         let child_counts = vec![0; pos.children.len()];
         PrefixNumberNode {
@@ -295,64 +282,6 @@ impl PrefixNumberNode {
 
     fn subtree_count(&self) -> u64 {
         self.child_counts.iter().sum::<u64>() + u64::from(self.marked)
-    }
-}
-
-impl NodeAlgorithm for PrefixNumberNode {
-    type Msg = TreeMsg;
-
-    fn round(&mut self, ctx: &mut RoundCtx<'_, TreeMsg>) {
-        if !self.pos.in_tree {
-            return;
-        }
-        if !self.resolved {
-            self.resolved = true;
-            (self.parent_idx, self.children_idx) =
-                ctx.tree_indices(self.pos.parent, &self.pos.children);
-        }
-        for &(from, ref msg) in ctx.inbox() {
-            match msg {
-                TreeMsg::Up(v) => {
-                    let idx = self
-                        .pos
-                        .children
-                        .iter()
-                        .position(|&c| c == from)
-                        .expect("Up message only from children");
-                    self.child_counts[idx] = *v;
-                    self.pending -= 1;
-                }
-                TreeMsg::Down(v) => {
-                    self.offset = Some(*v);
-                }
-            }
-        }
-        if self.pending == 0 && !self.sent_up {
-            self.sent_up = true;
-            if self.pos.is_root {
-                self.total = Some(self.subtree_count());
-                self.offset = Some(0);
-            } else if let Some(pi) = self.parent_idx {
-                ctx.send_nth(pi, TreeMsg::Up(self.subtree_count()));
-            }
-        }
-        if self.sent_up && !self.sent_down {
-            if let Some(off) = self.offset {
-                self.sent_down = true;
-                if self.marked {
-                    self.rank = Some(off);
-                }
-                let mut cursor = off + u64::from(self.marked);
-                for idx in 0..self.children_idx.len() {
-                    ctx.send_nth(self.children_idx[idx], TreeMsg::Down(cursor));
-                    cursor += self.child_counts[idx];
-                }
-            }
-        }
-    }
-
-    fn halted(&self) -> bool {
-        !self.pos.in_tree || self.sent_down
     }
 }
 
@@ -399,12 +328,57 @@ impl Protocol for PrefixNumber {
             .collect()
     }
 
-    fn round(&self, state: &mut PrefixNumberNode, ctx: &mut RoundCtx<'_, TreeMsg>) {
-        NodeAlgorithm::round(state, ctx);
+    fn round(&self, st: &mut PrefixNumberNode, ctx: &mut RoundCtx<'_, TreeMsg>) {
+        if !st.pos.in_tree {
+            return;
+        }
+        if !st.resolved {
+            st.resolved = true;
+            (st.parent_idx, st.children_idx) = ctx.tree_indices(st.pos.parent, &st.pos.children);
+        }
+        for &(from, ref msg) in ctx.inbox() {
+            match msg {
+                TreeMsg::Up(v) => {
+                    let idx = st
+                        .pos
+                        .children
+                        .iter()
+                        .position(|&c| c == from)
+                        .expect("Up message only from children");
+                    st.child_counts[idx] = *v;
+                    st.pending -= 1;
+                }
+                TreeMsg::Down(v) => {
+                    st.offset = Some(*v);
+                }
+            }
+        }
+        if st.pending == 0 && !st.sent_up {
+            st.sent_up = true;
+            if st.pos.is_root {
+                st.total = Some(st.subtree_count());
+                st.offset = Some(0);
+            } else if let Some(pi) = st.parent_idx {
+                ctx.send_nth(pi, TreeMsg::Up(st.subtree_count()));
+            }
+        }
+        if st.sent_up && !st.sent_down {
+            if let Some(off) = st.offset {
+                st.sent_down = true;
+                if st.marked {
+                    st.rank = Some(off);
+                }
+                let mut cursor = off + u64::from(st.marked);
+                for idx in 0..st.children_idx.len() {
+                    ctx.send_nth(st.children_idx[idx], TreeMsg::Down(cursor));
+                    cursor += st.child_counts[idx];
+                }
+            }
+        }
     }
 
-    fn halted(&self, state: &PrefixNumberNode) -> bool {
-        NodeAlgorithm::halted(state)
+    fn halted(&self, st: &PrefixNumberNode) -> bool {
+        !st.pos.in_tree || st.sent_down
     }
 
     fn wake(&self, _state: &PrefixNumberNode) -> Wake {
@@ -573,6 +547,54 @@ mod tests {
             matches!(err, SimError::InvalidDestination { from: 0, to: 2, .. }),
             "{err:?}"
         );
+    }
+
+    /// The `Wake::Sleep` override of both tree protocols: a node
+    /// waiting on a child that never reports sleeps instead of staying
+    /// awake, so the phase quiesces with no result at the root within
+    /// `depth + 2` rounds rather than spinning to the round limit (what
+    /// a `halted`-derived wake would do: the waiting node never halts).
+    #[test]
+    fn silent_child_ends_the_phase_without_a_result_not_at_the_round_limit() {
+        // Tree rooted at 0 with branches 0-1-2-3 and 0-4-5. Node 3 lists
+        // its real neighbor 6 as a child, but 6 is outside the tree and
+        // never reports, so 3, 2, 1 and the root wait forever.
+        let g = Graph::from_edges(7, &[(0, 1), (1, 2), (2, 3), (3, 6), (0, 4), (4, 5)]).unwrap();
+        let at = |parent: Option<NodeId>, children: Vec<NodeId>| TreePosition {
+            parent,
+            children,
+            in_tree: true,
+            is_root: parent.is_none(),
+        };
+        let pos = vec![
+            at(None, vec![1, 4]),
+            at(Some(0), vec![2]),
+            at(Some(1), vec![3]),
+            at(Some(2), vec![6]),
+            at(Some(0), vec![5]),
+            at(Some(4), vec![]),
+            TreePosition::default(),
+        ];
+        let depth = 4; // root to the silent child
+        let cfg = SimConfig {
+            max_rounds: 1_000,
+            ..SimConfig::default()
+        };
+        let (results, stats) = Session::new(&g, cfg.clone())
+            .run(TreeAggregate::new(pos.clone(), &[1; 7], AggOp::Sum, true))
+            .unwrap();
+        assert_eq!(results[0], None, "the root cannot complete");
+        assert!(results.iter().all(Option::is_none), "{results:?}");
+        assert!(stats.rounds <= depth + 2, "rounds {}", stats.rounds);
+        // The reporting branch still delivered its partial aggregate.
+        assert_eq!(stats.messages, 2);
+
+        let (ranks, total, stats) = Session::new(&g, cfg)
+            .run(PrefixNumber::new(pos, &[true; 7]))
+            .unwrap();
+        assert_eq!(total, 0, "the root never learns the count");
+        assert!(ranks.iter().all(Option::is_none), "{ranks:?}");
+        assert!(stats.rounds <= depth + 2, "rounds {}", stats.rounds);
     }
 
     #[test]

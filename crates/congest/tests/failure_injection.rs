@@ -3,11 +3,17 @@
 //! bug in a simulator whose purpose is enforcing a model.
 
 use lcs_congest::{
-    run, AggOp, FaultPlan, Message, MultiAggregate, MultiBfs, MultiBfsInstance, MultiBfsSpec,
-    NodeAlgorithm, Participation, RoundCtx, Session, SimConfig, SimError, Wake,
+    AggOp, FaultPlan, Message, MultiAggregate, MultiBfs, MultiBfsInstance, MultiBfsSpec,
+    Participation, Protocol, RoundCtx, RunStats, Session, SimConfig, SimError, Wake,
 };
 use lcs_graph::generators::{cycle, path, star};
+use lcs_graph::Graph;
 use std::sync::Arc;
+
+/// Runs `p` as the single phase of a fresh session.
+fn run_once<P: Protocol + Sync>(g: &Graph, p: P, cfg: &SimConfig) -> Result<P::Output, SimError> {
+    Session::new(g, cfg.clone()).run(p)
+}
 
 /// A node that violates the model in a configurable round, after
 /// behaving correctly for a while (violations must be caught late, not
@@ -16,11 +22,11 @@ use std::sync::Arc;
 /// `wake` to stay scheduled until its planned round has passed —
 /// sleeping via the derived `halted` signal would mean never being
 /// invoked again and never misbehaving.
-#[derive(Debug)]
+///
+/// Per-node state: whether the planned round has passed.
 struct LateViolator {
     mode: u8,
     at_round: u64,
-    done: bool,
 }
 
 #[derive(Debug, Clone)]
@@ -32,11 +38,16 @@ impl Message for BigMsg {
     }
 }
 
-impl NodeAlgorithm for LateViolator {
+impl Protocol for LateViolator {
     type Msg = BigMsg;
-    fn round(&mut self, ctx: &mut RoundCtx<'_, BigMsg>) {
+    type State = bool;
+    type Output = ();
+    fn init(&mut self, graph: &Graph) -> Vec<bool> {
+        vec![false; graph.n()]
+    }
+    fn round(&self, done: &mut bool, ctx: &mut RoundCtx<'_, BigMsg>) {
         if ctx.round() >= self.at_round {
-            self.done = true;
+            *done = true;
         }
         if ctx.node() != 0 {
             return;
@@ -57,16 +68,17 @@ impl NodeAlgorithm for LateViolator {
             }
         }
     }
-    fn halted(&self) -> bool {
+    fn halted(&self, _: &bool) -> bool {
         true
     }
-    fn wake(&self) -> Wake {
-        if self.done {
+    fn wake(&self, &done: &bool) -> Wake {
+        if done {
             Wake::Sleep
         } else {
             Wake::Stay
         }
     }
+    fn finish(self, _: &Graph, _: Vec<bool>, _: &RunStats) {}
 }
 
 #[cfg_attr(
@@ -77,14 +89,8 @@ impl NodeAlgorithm for LateViolator {
 fn late_violations_are_caught_at_the_right_round() {
     let g = path(3);
     for (mode, expect_kind) in [(0u8, "dest"), (1, "overflow"), (2, "size")] {
-        let nodes = (0..3)
-            .map(|_| LateViolator {
-                mode,
-                at_round: 5,
-                done: false,
-            })
-            .collect();
-        let err = run(&g, nodes, &SimConfig::default()).unwrap_err();
+        let p = LateViolator { mode, at_round: 5 };
+        let err = run_once(&g, p, &SimConfig::default()).unwrap_err();
         match (expect_kind, &err) {
             ("dest", SimError::InvalidDestination { round, .. })
             | ("overflow", SimError::ChannelOverflow { round, .. })
@@ -106,71 +112,58 @@ fn late_violations_are_identical_under_the_worker_pool() {
     // engine reports, at the same round, for every shard count.
     let g = path(3);
     for mode in [0u8, 1, 2] {
-        let mk = || {
-            (0..3)
-                .map(|_| LateViolator {
-                    mode,
-                    at_round: 5,
-                    done: false,
-                })
-                .collect()
-        };
-        let base = run(&g, mk(), &SimConfig::default()).unwrap_err();
+        let mk = || LateViolator { mode, at_round: 5 };
+        let base = run_once(&g, mk(), &SimConfig::default()).unwrap_err();
         for shards in [2usize, 3] {
             let cfg = SimConfig {
                 shards,
                 ..SimConfig::default()
             };
-            let err = run(&g, mk(), &cfg).unwrap_err();
+            let err = run_once(&g, mk(), &cfg).unwrap_err();
             assert_eq!(err, base, "mode {mode}, shards {shards}");
         }
     }
 }
 
-/// Behaves correctly for a few rounds, then panics outright — the
-/// harshest protocol failure a worker shard can inject. Stays awake
-/// (explicit `wake` override) until its planned round, since a
-/// sleeping node is never invoked to panic.
-#[derive(Debug)]
+/// Behaves correctly for a few rounds, then panics outright at
+/// `node` (every node, when `None`) — the harshest protocol failure a
+/// worker shard can inject. Stays awake (explicit `wake` override)
+/// until its planned round, since a sleeping node is never invoked to
+/// panic. Per-node state: whether the planned round has passed.
 struct PanicsAt {
-    node: u32,
+    node: Option<u32>,
     at_round: u64,
-    done: bool,
 }
 
-impl PanicsAt {
-    fn new(node: u32, at_round: u64) -> Self {
-        PanicsAt {
-            node,
-            at_round,
-            done: false,
-        }
-    }
-}
-
-impl NodeAlgorithm for PanicsAt {
+impl Protocol for PanicsAt {
     type Msg = u32;
-    fn round(&mut self, ctx: &mut RoundCtx<'_, u32>) {
+    type State = bool;
+    type Output = ();
+    fn init(&mut self, graph: &Graph) -> Vec<bool> {
+        vec![false; graph.n()]
+    }
+    fn round(&self, done: &mut bool, ctx: &mut RoundCtx<'_, u32>) {
         if ctx.round() >= self.at_round {
-            self.done = true;
+            *done = true;
         }
         if ctx.node() == 0 && ctx.round() < 10 {
             ctx.send(1, 1); // keep the run alive past the panic round
         }
-        if ctx.node() == self.node && ctx.round() == self.at_round {
-            panic!("injected protocol panic at node {}", self.node);
+        if self.node.is_none_or(|v| v == ctx.node()) && ctx.round() == self.at_round {
+            panic!("injected protocol panic at node {}", ctx.node());
         }
     }
-    fn halted(&self) -> bool {
+    fn halted(&self, _: &bool) -> bool {
         true
     }
-    fn wake(&self) -> Wake {
-        if self.done {
+    fn wake(&self, &done: &bool) -> Wake {
+        if done {
             Wake::Sleep
         } else {
             Wake::Stay
         }
     }
+    fn finish(self, _: &Graph, _: Vec<bool>, _: &RunStats) {}
 }
 
 #[cfg_attr(
@@ -189,9 +182,12 @@ fn panicking_protocol_in_a_worker_shard_propagates_instead_of_deadlocking() {
             shards,
             ..SimConfig::default()
         };
-        let nodes: Vec<PanicsAt> = (0..12).map(|_| PanicsAt::new(11, 3)).collect();
+        let p = PanicsAt {
+            node: Some(11),
+            at_round: 3,
+        };
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = run(&g, nodes, &cfg);
+            let _ = run_once(&g, p, &cfg);
         }))
         .expect_err("the protocol panic must propagate");
         let msg = payload
@@ -220,9 +216,12 @@ fn simultaneous_worker_panics_surface_the_lowest_shard() {
             shards,
             ..SimConfig::default()
         };
-        let nodes: Vec<PanicsAt> = (0..8).map(|v| PanicsAt::new(v, 0)).collect();
+        let p = PanicsAt {
+            node: None,
+            at_round: 0,
+        };
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = run(&g, nodes, &cfg);
+            let _ = run_once(&g, p, &cfg);
         }))
         .expect_err("must panic");
         let msg = payload
@@ -340,16 +339,20 @@ fn tiny_queue_cap_degrades_gracefully_not_fatally() {
 /// high shard counts a whole shard — that had been fully quiescent
 /// since round 0 and is re-activated by a (possibly cross-shard,
 /// possibly inline-executed) delivery.
-#[derive(Debug)]
 struct TripMine {
     /// What the last node does on wake: `false` = panic, `true` = send
     /// to a non-neighbor (model violation).
     violate: bool,
 }
 
-impl NodeAlgorithm for TripMine {
+impl Protocol for TripMine {
     type Msg = u32;
-    fn round(&mut self, ctx: &mut RoundCtx<'_, u32>) {
+    type State = ();
+    type Output = ();
+    fn init(&mut self, graph: &Graph) -> Vec<()> {
+        vec![(); graph.n()]
+    }
+    fn round(&self, _: &mut (), ctx: &mut RoundCtx<'_, u32>) {
         let last = ctx.n() as u32 - 1;
         let fire = (ctx.round() == 0 && ctx.node() == 0)
             || ctx.inbox().iter().any(|&(from, _)| from < ctx.node());
@@ -366,9 +369,10 @@ impl NodeAlgorithm for TripMine {
             ctx.send(ctx.node() + 1, 1);
         }
     }
-    fn halted(&self) -> bool {
+    fn halted(&self, _: &()) -> bool {
         true
     }
+    fn finish(self, _: &Graph, _: Vec<()>, _: &RunStats) {}
 }
 
 #[cfg_attr(
@@ -387,9 +391,8 @@ fn panic_on_wake_in_a_quiescent_shard_propagates_identically() {
             shards,
             ..SimConfig::default()
         };
-        let nodes: Vec<TripMine> = (0..12).map(|_| TripMine { violate: false }).collect();
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = run(&g, nodes, &cfg);
+            let _ = run_once(&g, TripMine { violate: false }, &cfg);
         }))
         .expect_err("the wake-round panic must propagate");
         let msg = payload
@@ -423,8 +426,8 @@ fn violation_on_wake_after_quiescence_is_reported_at_the_wake_round() {
             shards,
             ..SimConfig::default()
         };
-        let nodes: Vec<TripMine> = (0..7).map(|_| TripMine { violate: true }).collect();
-        assert_eq!(run(&g, nodes, &cfg).unwrap_err(), expect, "shards {shards}");
+        let err = run_once(&g, TripMine { violate: true }, &cfg).unwrap_err();
+        assert_eq!(err, expect, "shards {shards}");
     }
 }
 
@@ -437,20 +440,25 @@ fn violation_on_wake_after_quiescence_is_reported_at_the_wake_round() {
 /// in a `MODE_DENSE` round; with `flood_until < violate_at` (plus the
 /// single keep-alive send at `flood_until`) it lands in the
 /// `MODE_RESYNC` round that drains the dense exit.
-#[derive(Debug)]
+///
+/// Per-node state: whether the violation round has passed.
 struct DenseViolator {
     /// 0 = send to a non-neighbor, 1 = double-send, 2 = oversized.
     mode: u8,
     violate_at: u64,
     flood_until: u64,
-    done: bool,
 }
 
-impl NodeAlgorithm for DenseViolator {
+impl Protocol for DenseViolator {
     type Msg = BigMsg;
-    fn round(&mut self, ctx: &mut RoundCtx<'_, BigMsg>) {
+    type State = bool;
+    type Output = ();
+    fn init(&mut self, graph: &Graph) -> Vec<bool> {
+        vec![false; graph.n()]
+    }
+    fn round(&self, done: &mut bool, ctx: &mut RoundCtx<'_, BigMsg>) {
         if ctx.round() >= self.violate_at {
-            self.done = true;
+            *done = true;
         }
         if ctx.round() < self.flood_until {
             for i in 0..ctx.degree() {
@@ -474,16 +482,17 @@ impl NodeAlgorithm for DenseViolator {
             }
         }
     }
-    fn halted(&self) -> bool {
+    fn halted(&self, _: &bool) -> bool {
         true
     }
-    fn wake(&self) -> Wake {
-        if self.done {
+    fn wake(&self, &done: &bool) -> Wake {
+        if done {
             Wake::Sleep
         } else {
             Wake::Stay
         }
     }
+    fn finish(self, _: &Graph, _: Vec<bool>, _: &RunStats) {}
 }
 
 /// Runs [`DenseViolator`] on `cycle(6)` under a drops-and-delays fault
@@ -500,22 +509,17 @@ fn assert_dense_violation(violate_at: u64, flood_until: u64) {
         fault_seed: 0xFA117,
     };
     for mode in [0u8, 1, 2] {
-        let mk = || {
-            (0..6)
-                .map(|_| DenseViolator {
-                    mode,
-                    violate_at,
-                    flood_until,
-                    done: false,
-                })
-                .collect::<Vec<_>>()
+        let mk = || DenseViolator {
+            mode,
+            violate_at,
+            flood_until,
         };
         let cfg_for = |shards: usize| SimConfig {
             shards,
             faults: Some(plan.clone()),
             ..SimConfig::default()
         };
-        let base = run(&g, mk(), &cfg_for(1)).unwrap_err();
+        let base = run_once(&g, mk(), &cfg_for(1)).unwrap_err();
         let round = match (&base, mode) {
             (SimError::InvalidDestination { round, .. }, 0)
             | (SimError::ChannelOverflow { round, .. }, 1)
@@ -524,7 +528,7 @@ fn assert_dense_violation(violate_at: u64, flood_until: u64) {
         };
         assert_eq!(round, violate_at, "mode {mode}: wrong round");
         for shards in [2usize, 8] {
-            let err = run(&g, mk(), &cfg_for(shards)).unwrap_err();
+            let err = run_once(&g, mk(), &cfg_for(shards)).unwrap_err();
             assert_eq!(err, base, "mode {mode}, shards {shards}");
         }
     }
@@ -561,19 +565,24 @@ fn violations_in_resync_rounds_under_faults_are_caught_identically() {
 #[test]
 fn round_limit_zero_fails_immediately() {
     let g = path(2);
-    #[derive(Debug)]
     struct Idle;
-    impl NodeAlgorithm for Idle {
+    impl Protocol for Idle {
         type Msg = ();
-        fn round(&mut self, _: &mut RoundCtx<'_, ()>) {}
-        fn halted(&self) -> bool {
+        type State = ();
+        type Output = ();
+        fn init(&mut self, graph: &Graph) -> Vec<()> {
+            vec![(); graph.n()]
+        }
+        fn round(&self, _: &mut (), _: &mut RoundCtx<'_, ()>) {}
+        fn halted(&self, _: &()) -> bool {
             false
         }
+        fn finish(self, _: &Graph, _: Vec<()>, _: &RunStats) {}
     }
     let cfg = SimConfig {
         max_rounds: 0,
         ..SimConfig::default()
     };
-    let err = run(&g, vec![Idle, Idle], &cfg).unwrap_err();
+    let err = run_once(&g, Idle, &cfg).unwrap_err();
     assert_eq!(err, SimError::RoundLimitExceeded { limit: 0 });
 }

@@ -272,15 +272,14 @@ proptest! {
         // A protocol that exercises RNG draws, inbox order, and sends:
         // each node draws one coin per round and gossips the running
         // xor to all neighbors for a few rounds.
-        let mk = || (0..n).map(|_| GossipXor::default()).collect::<Vec<_>>();
-        let base = lcs_congest::run(&g, mk(), &cfg_for(1)).unwrap();
+        let (base_nodes, base_stats) = Session::new(&g, cfg_for(1)).run(GossipXor).unwrap();
         for shards in [2usize, 4, 7] {
-            let out = lcs_congest::run(&g, mk(), &cfg_for(shards)).unwrap();
+            let (nodes, stats) = Session::new(&g, cfg_for(shards)).run(GossipXor).unwrap();
             for v in 0..n {
-                prop_assert_eq!(&out.nodes[v].coins, &base.nodes[v].coins, "rng stream, shards={}", shards);
-                prop_assert_eq!(out.nodes[v].acc, base.nodes[v].acc, "state, shards={}", shards);
+                prop_assert_eq!(&nodes[v].coins, &base_nodes[v].coins, "rng stream, shards={}", shards);
+                prop_assert_eq!(nodes[v].acc, base_nodes[v].acc, "state, shards={}", shards);
             }
-            prop_assert_eq!(&out.stats, &base.stats, "stats, shards={}", shards);
+            prop_assert_eq!(&stats, &base_stats, "stats, shards={}", shards);
         }
 
         // The real protocol stack: multi-BFS outcomes must also match.
@@ -311,27 +310,43 @@ proptest! {
 
 /// Proptest helper: draws a coin every round, xors in everything heard,
 /// and gossips for 6 rounds. Touches RNG, inbox, and sends each round.
-#[derive(Debug, Default)]
-struct GossipXor {
+/// Output: final states plus phase stats.
+struct GossipXor;
+
+#[derive(Debug, Default, Clone)]
+struct GossipNode {
     coins: Vec<u64>,
     acc: u64,
 }
 
-impl lcs_congest::NodeAlgorithm for GossipXor {
+impl lcs_congest::Protocol for GossipXor {
     type Msg = u32;
-    fn round(&mut self, ctx: &mut lcs_congest::RoundCtx<'_, u32>) {
+    type State = GossipNode;
+    type Output = (Vec<GossipNode>, lcs_congest::RunStats);
+    fn init(&mut self, graph: &Graph) -> Vec<GossipNode> {
+        vec![GossipNode::default(); graph.n()]
+    }
+    fn round(&self, st: &mut GossipNode, ctx: &mut lcs_congest::RoundCtx<'_, u32>) {
         let coin: u64 = rand::Rng::gen(ctx.rng());
-        self.coins.push(coin);
+        st.coins.push(coin);
         for &(from, m) in ctx.inbox() {
-            self.acc ^= u64::from(m) ^ (u64::from(from) << 32);
+            st.acc ^= u64::from(m) ^ (u64::from(from) << 32);
         }
         if ctx.round() < 6 {
             for i in 0..ctx.degree() {
-                ctx.send_nth(i, (self.acc ^ coin) as u32);
+                ctx.send_nth(i, (st.acc ^ coin) as u32);
             }
         }
     }
-    fn halted(&self) -> bool {
+    fn halted(&self, _: &GossipNode) -> bool {
         true
+    }
+    fn finish(
+        self,
+        _: &Graph,
+        nodes: Vec<GossipNode>,
+        stats: &lcs_congest::RunStats,
+    ) -> Self::Output {
+        (nodes, stats.clone())
     }
 }

@@ -100,7 +100,7 @@ impl ShortcutBuilder for KoganParter {
         // The paper's targets: congestion O(D·k_D·log n), dilation
         // O(k_D·log n), with the repo's documented constants. These are
         // whp bounds; the bench and the registry proptest enforce them
-        // empirically on every cell (DESIGN.md §2).
+        // empirically on every cell (README, Substitutions).
         let params = self.resolve_params(graph)?;
         let clamp = |b: u64| b.min(u32::MAX as u64) as u32;
         Some(Quality {

@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod builder;
 pub mod centralized;
 pub mod degrade;
 pub mod dilation;
@@ -51,7 +50,6 @@ pub mod shortcut_tree;
 pub mod streaming;
 
 pub use backend::KoganParter;
-pub use builder::{BuildError, BuiltShortcuts, ShortcutBuilder, Variant};
 pub use centralized::{
     centralized_shortcuts, classify_large, large_part_leaders, prune_to_trees,
     CentralizedShortcuts, LargenessRule, OracleMode, PrunedShortcuts,

@@ -15,7 +15,7 @@
 //!   "is similar to" Kitamura's, we instantiate the same sampling
 //!   template with a *fixed small repetition count* (one for D = 3, two
 //!   for D = 4) rather than the full `D`-repetition scheme — see
-//!   DESIGN.md §2 (substitutions).
+//!   the README's Substitutions section.
 
 use crate::partition::Partition;
 use crate::shortcut::ShortcutSet;

@@ -11,9 +11,8 @@
 //! quality-bench fingerprint gate holds every backend to cross-run
 //! determinism.
 //!
-//! Not to be confused with `lcs_core::ShortcutBuilder`, the established
-//! *configuration* builder for the Kogan–Parter pipeline; the core crate
-//! adapts that pipeline onto this trait as `lcs_core::KoganParter`.
+//! The core crate adapts the Kogan–Parter pipeline onto this trait as
+//! `lcs_core::KoganParter`.
 //!
 //! ## Adding a backend
 //!

@@ -5,7 +5,8 @@
 //! density at most `δ`.
 //!
 //! We instantiate their core mechanism centrally (the repo's
-//! documented-substitution pattern, DESIGN.md §2): every part grows a
+//! documented-substitution pattern, see the README's Substitutions
+//! section): every part grows a
 //! BFS tree from its leader, all parts simultaneously, under a hard
 //! per-edge *claim cap* — an edge may join at most `cap` different
 //! parts' trees (edges inside a part's own member set are free, since

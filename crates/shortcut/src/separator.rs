@@ -4,7 +4,8 @@
 //! `O(w·D·log n)` on treewidth-`w` graphs from tree decompositions.
 //!
 //! We instantiate their decomposition template centrally (the repo's
-//! documented-substitution pattern, DESIGN.md §2): a min-degree
+//! documented-substitution pattern, see the README's Substitutions
+//! section): a min-degree
 //! elimination order yields a tree decomposition, whose weighted
 //! centroid bag is a balanced separator; recursing on the remaining
 //! components gives a cluster hierarchy of depth `O(log n)`. Each part
