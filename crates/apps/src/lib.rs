@@ -43,6 +43,7 @@ pub use mst::{
     ShortcutStrategy,
 };
 pub use sssp::{
-    bellman_ford_rounds, shortcut_sssp, shortcut_sssp_simulated, SimulatedSsspOutcome, SsspOutcome,
+    bellman_ford_rounds, relax_accounted, shortcut_sssp, shortcut_sssp_simulated, weighted_depths,
+    SimulatedSsspOutcome, SsspOutcome,
 };
 pub use two_ecss::{two_ecss, verify_two_ecss, TwoEcssError, TwoEcssOutcome};

@@ -332,13 +332,12 @@ fn mst_pipeline(wg: &WeightedGraph, cfg: &MstConfig) -> Result<MstOutcome, MstEr
 
         // Merge.
         let mut merged_any = false;
-        for (i, &word) in mwoe.iter().enumerate() {
+        for &word in &mwoe {
             if word == u64::MAX {
                 continue; // fragment has no outgoing edge (own component)
             }
             let e = decode(word);
             let (a, b) = g.edge_endpoints(e);
-            let _ = i;
             if uf.union(a, b) {
                 mst_edges.push(e);
                 weight += wg.weight(e);
@@ -377,7 +376,8 @@ fn mst_pipeline(wg: &WeightedGraph, cfg: &MstConfig) -> Result<MstOutcome, MstEr
 /// Fault-tolerant wrapper: detect crash-stops on the faulty network
 /// (reliable BFS from node 0 + census convergecast over its tree),
 /// excise the dead and anything they disconnect, and run Boruvka on the
-/// surviving component. Detection rounds are charged as
+/// surviving component, whose diameter it re-derives (`diameter: None`)
+/// because excision can stretch it. Detection rounds are charged as
 /// [`DegradedOutcome::extra_rounds`]; the remaining phases run over the
 /// reliable transport, whose outputs are byte-identical to fault-free
 /// runs, so they are simulated fault-free.
@@ -405,6 +405,10 @@ fn degraded_mst(
 
     // ---- Excision: the MST of the surviving component. ---------------
     let sub_wg = exc.induced_weighted(wg);
+    let sub_cfg = MstConfig {
+        diameter: None, // excision can stretch the diameter
+        ..sub_cfg
+    };
     let sub = mst_pipeline(&sub_wg, &sub_cfg)?;
 
     // Map the tree back to original edge ids.
@@ -697,6 +701,61 @@ mod tests {
             out.total_rounds > clean.total_rounds,
             "detection is charged"
         );
+    }
+
+    /// A crashed hub turns a wheel (diameter 2) into its rim, a cycle of
+    /// diameter `(n - 1) / 2`: the survivors' Boruvka must size each
+    /// phase's KP shortcuts for the rim's diameter, not the caller's
+    /// pre-excision one.
+    #[test]
+    fn degraded_mst_rederives_the_survivors_diameter() {
+        use lcs_congest::Crash;
+        let (n, hub) = (12u32, 5u32);
+        let rim: Vec<NodeId> = (0..n).filter(|&v| v != hub).collect();
+        let mut edges: Vec<(NodeId, NodeId, u64)> = Vec::new();
+        for (i, &v) in rim.iter().enumerate() {
+            edges.push((v, rim[(i + 1) % rim.len()], 10 + i as u64));
+            edges.push((hub, v, 100 + i as u64));
+        }
+        let wg = WeightedGraph::from_weighted_edges(n as usize, &edges).unwrap();
+        let cfg = MstConfig {
+            diameter: Some(3),
+            faults: Some(FaultPlan {
+                crashes: vec![Crash {
+                    node: hub,
+                    at_round: 0,
+                    recover_at: None,
+                }],
+                ..FaultPlan::default()
+            }),
+            ..MstConfig::default()
+        };
+        let out = mst_via_shortcuts(&wg, &cfg).unwrap();
+        assert_eq!(out.degraded.as_ref().unwrap().excluded_nodes, vec![hub]);
+
+        // The survivors' graph, relabeled in node order: the rim cycle.
+        let rim_edges: Vec<(NodeId, NodeId, u64)> = (0..rim.len() as NodeId)
+            .map(|i| (i, (i + 1) % rim.len() as NodeId, 1))
+            .collect();
+        let sub = WeightedGraph::from_weighted_edges(rim.len(), &rim_edges).unwrap();
+        let d_sub = exact_diameter(sub.graph()).unwrap();
+        assert_eq!(d_sub, 5);
+        let budget = KpParams::new(rim.len(), d_sub, cfg.prob_constant)
+            .unwrap()
+            .round_budget();
+        assert_ne!(
+            budget,
+            KpParams::new(rim.len(), 3, cfg.prob_constant)
+                .unwrap()
+                .round_budget(),
+            "the stale diameter would charge a different budget"
+        );
+        assert!(!out.phase_costs.is_empty());
+        for (phase, cost) in out.phase_costs.iter().enumerate() {
+            assert_eq!(cost.shortcut_rounds, budget, "phase {phase}");
+        }
+        // The rim minus its heaviest edge.
+        assert_eq!(out.weight, (10..10 + rim.len() as u64 - 1).sum::<u64>());
     }
 
     #[test]

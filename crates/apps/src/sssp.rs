@@ -18,11 +18,12 @@
 //! reports both the round reduction and the realized stretch against
 //! Dijkstra.
 
-use lcs_congest::{ceil_log2, AggOp, FaultPlan, ScheduleCost, Session, SimConfig, SimError};
+use lcs_congest::{AggOp, FaultPlan, Session, SimConfig, SimError};
 use lcs_core::{detect_and_excise, DegradedOutcome};
 use lcs_graph::{dijkstra, NodeId, WeightedGraph, W_UNREACHABLE};
 use lcs_shortcut::{AggregationSetup, Partition, ShortcutSet};
 use std::collections::HashMap;
+use std::convert::Infallible;
 
 /// Result of the SSSP computation.
 #[derive(Debug, Clone)]
@@ -40,40 +41,47 @@ pub struct SsspOutcome {
     pub mean_stretch: f64,
 }
 
+/// One synchronous Bellman–Ford round: every edge relaxes in both
+/// directions against the distances at the start of the round. Returns
+/// whether any distance dropped.
+fn sweep(wg: &WeightedGraph, dist: &mut [u64]) -> bool {
+    let g = wg.graph();
+    let snapshot = dist.to_vec();
+    let mut changed = false;
+    for e in g.edge_ids() {
+        let (u, v) = g.edge_endpoints(e);
+        let w = wg.weight(e);
+        for (from, to) in [(u, v), (v, u)] {
+            let via = snapshot[from as usize];
+            if via != W_UNREACHABLE && via + w < dist[to as usize] {
+                dist[to as usize] = via + w;
+                changed = true;
+            }
+        }
+    }
+    changed
+}
+
 /// Plain distributed Bellman–Ford baseline: exact distances; the round
 /// count is the number of synchronous relaxation sweeps until fixpoint
 /// (= shortest-path hop radius from the source).
 pub fn bellman_ford_rounds(wg: &WeightedGraph, source: NodeId) -> (Vec<u64>, u64) {
-    let g = wg.graph();
-    let mut dist = vec![W_UNREACHABLE; g.n()];
+    let mut dist = vec![W_UNREACHABLE; wg.graph().n()];
     dist[source as usize] = 0;
     let mut rounds = 0u64;
     loop {
         rounds += 1;
-        let mut changed = false;
-        let mut next = dist.clone();
-        for e in g.edge_ids() {
-            let (u, v) = g.edge_endpoints(e);
-            let w = wg.weight(e);
-            if dist[u as usize] != W_UNREACHABLE && dist[u as usize] + w < next[v as usize] {
-                next[v as usize] = dist[u as usize] + w;
-                changed = true;
-            }
-            if dist[v as usize] != W_UNREACHABLE && dist[v as usize] + w < next[u as usize] {
-                next[u as usize] = dist[v as usize] + w;
-                changed = true;
-            }
-        }
-        dist = next;
-        if !changed {
-            break;
+        if !sweep(wg, &mut dist) {
+            return (dist, rounds);
         }
     }
-    (dist, rounds)
 }
 
-/// Weighted depths of every tree node from the tree root, per part tree.
-fn weighted_depths(wg: &WeightedGraph, setup: &AggregationSetup) -> Vec<HashMap<NodeId, u64>> {
+/// Weighted depth of every tree node from its tree root, one map per
+/// part tree of `setup` (in tree order): the `wdepth_i` table the tree
+/// relaxation adds to each part minimum. Depends on the weights only,
+/// so a served index computes it once per weight assignment.
+pub fn weighted_depths(wg: &WeightedGraph, setup: &AggregationSetup) -> Vec<HashMap<NodeId, u64>> {
     let g = wg.graph();
     setup
         .trees
@@ -103,92 +111,121 @@ fn weighted_depths(wg: &WeightedGraph, setup: &AggregationSetup) -> Vec<HashMap<
         .collect()
 }
 
-/// Runs the interleaved relaxation. `max_iterations` caps the outer
-/// loop (pass `n` for guaranteed convergence to the fixpoint of the
-/// combined relaxation).
-pub fn shortcut_sssp(
+/// Per part tree (tree order), the members of the tree's own part with
+/// their weighted depth: the nodes a tree relaxation reads and writes.
+type PartMembers = Vec<Vec<(NodeId, u64)>>;
+
+/// The interleaved relaxation every SSSP variant runs: per iteration,
+/// one Bellman–Ford sweep (1 round), then `part_minima(dist, members)`
+/// returns each tree's `A_i = min_{v∈S_i}(dist(v) + wdepth_i(v))` (tree
+/// order, [`W_UNREACHABLE`] when no member is reached) with the rounds
+/// that took, and every member of `S_i` relaxes to `A_i + wdepth_i(u)`.
+/// Parts are vertex-disjoint and each tree touches only its own part's
+/// nodes, so finding every `A_i` before applying any of them is the
+/// same as relaxing tree by tree. Stops at the fixpoint or after
+/// `max_iterations`; returns `(dist, iterations, total_rounds)`.
+fn relax<E>(
     wg: &WeightedGraph,
     partition: &Partition,
-    shortcuts: &ShortcutSet,
+    setup: &AggregationSetup,
+    depths: &[HashMap<NodeId, u64>],
     source: NodeId,
     max_iterations: u32,
-) -> SsspOutcome {
-    let g = wg.graph();
-    let n = g.n();
-    let setup = AggregationSetup::build(g, partition, shortcuts);
-    let depths = weighted_depths(wg, &setup);
-    let agg_rounds = ScheduleCost {
-        congestion: setup.tree_congestion as u64,
-        dilation: setup.tree_depth as u64 + 1,
-    }
-    .rounds_no_precompute(n.max(2))
-        * 2; // convergecast + broadcast
-    let _ = ceil_log2(n.max(2));
-
-    let mut dist = vec![W_UNREACHABLE; n];
+    mut part_minima: impl FnMut(&[u64], &PartMembers) -> Result<(Vec<u64>, u64), E>,
+) -> Result<(Vec<u64>, u32, u64), E> {
+    let members: PartMembers = setup
+        .trees
+        .iter()
+        .zip(depths)
+        .map(|(tree, depth)| {
+            tree.members
+                .iter()
+                .filter(|&&(v, _)| partition.part_of(v) == Some(tree.part as u32))
+                .map(|&(v, _)| (v, depth[&v]))
+                .collect()
+        })
+        .collect();
+    let mut dist = vec![W_UNREACHABLE; wg.graph().n()];
     dist[source as usize] = 0;
     let mut total_rounds = 0u64;
     let mut iterations = 0u32;
     loop {
         iterations += 1;
-        let mut changed = false;
         // (a) one Bellman-Ford sweep: 1 round.
+        let mut changed = sweep(wg, &mut dist);
         total_rounds += 1;
-        let snapshot = dist.clone();
-        for e in g.edge_ids() {
-            let (u, v) = g.edge_endpoints(e);
-            let w = wg.weight(e);
-            if snapshot[u as usize] != W_UNREACHABLE && snapshot[u as usize] + w < dist[v as usize]
-            {
-                dist[v as usize] = snapshot[u as usize] + w;
-                changed = true;
-            }
-            if snapshot[v as usize] != W_UNREACHABLE && snapshot[v as usize] + w < dist[u as usize]
-            {
-                dist[u as usize] = snapshot[v as usize] + w;
-                changed = true;
-            }
-        }
-        // (b) partwise tree relaxation: one scheduled aggregation.
-        total_rounds += agg_rounds;
-        for (tree, depth) in setup.trees.iter().zip(depths.iter()) {
-            let mut a = W_UNREACHABLE;
-            for &(v, _) in &tree.members {
-                if partition.part_of(v) == Some(tree.part as u32)
-                    && dist[v as usize] != W_UNREACHABLE
-                {
-                    a = a.min(dist[v as usize] + depth[&v]);
-                }
-            }
+        // (b) partwise tree relaxation.
+        let (minima, rounds) = part_minima(&dist, &members)?;
+        total_rounds += rounds;
+        for (part, &a) in members.iter().zip(&minima) {
             if a == W_UNREACHABLE {
                 continue;
             }
-            for &(v, _) in &tree.members {
-                if partition.part_of(v) == Some(tree.part as u32) {
-                    let cand = a + depth[&v];
-                    if cand < dist[v as usize] {
-                        dist[v as usize] = cand;
-                        changed = true;
-                    }
+            for &(v, d) in part {
+                let cand = a.saturating_add(d);
+                if cand < dist[v as usize] {
+                    dist[v as usize] = cand;
+                    changed = true;
                 }
             }
         }
         if !changed || iterations >= max_iterations {
-            break;
+            return Ok((dist, iterations, total_rounds));
         }
     }
+}
 
-    // Stretch against Dijkstra.
+/// The interleaved relaxation over prebuilt trees and depth tables,
+/// with each tree relaxation folded centrally and charged one
+/// scheduled convergecast + broadcast. Returns
+/// `(dist, iterations, total_rounds)`; [`shortcut_sssp`] is this plus
+/// the stretch, and a served SSSP query is exactly this over the
+/// index's frozen tables.
+pub fn relax_accounted(
+    wg: &WeightedGraph,
+    partition: &Partition,
+    setup: &AggregationSetup,
+    depths: &[HashMap<NodeId, u64>],
+    source: NodeId,
+    max_iterations: u32,
+) -> (Vec<u64>, u32, u64) {
+    let agg_rounds = setup
+        .schedule_cost()
+        .rounds_no_precompute(wg.graph().n().max(2))
+        * 2; // convergecast + broadcast
+    let fold = |dist: &[u64], members: &PartMembers| -> Result<_, Infallible> {
+        let minima = members
+            .iter()
+            .map(|part| {
+                // Unreached members saturate to W_UNREACHABLE, the
+                // identity of the min.
+                part.iter()
+                    .map(|&(v, d)| dist[v as usize].saturating_add(d))
+                    .fold(W_UNREACHABLE, u64::min)
+            })
+            .collect();
+        Ok((minima, agg_rounds))
+    };
+    let Ok(out) = relax(wg, partition, setup, depths, source, max_iterations, fold);
+    out
+}
+
+/// Fills in the stretch of `dist` against Dijkstra from `source`.
+fn with_stretch(
+    wg: &WeightedGraph,
+    source: NodeId,
+    (dist, iterations, total_rounds): (Vec<u64>, u32, u64),
+) -> SsspOutcome {
     let exact = dijkstra(wg, source);
     let mut max_stretch = 1.0f64;
     let mut sum = 0.0f64;
     let mut count = 0usize;
-    for v in 0..n {
-        if exact[v] == W_UNREACHABLE || exact[v] == 0 {
+    for (&d, &e) in dist.iter().zip(&exact) {
+        if e == W_UNREACHABLE || e == 0 {
             continue;
         }
-        debug_assert!(dist[v] >= exact[v], "estimates are upper bounds");
-        let s = dist[v] as f64 / exact[v] as f64;
+        debug_assert!(d >= e, "estimates are upper bounds");
+        let s = d as f64 / e as f64;
         max_stretch = max_stretch.max(s);
         sum += s;
         count += 1;
@@ -200,6 +237,22 @@ pub fn shortcut_sssp(
         max_stretch,
         mean_stretch: if count == 0 { 1.0 } else { sum / count as f64 },
     }
+}
+
+/// Runs the interleaved relaxation. `max_iterations` caps the outer
+/// loop (pass `n` for guaranteed convergence to the fixpoint of the
+/// combined relaxation).
+pub fn shortcut_sssp(
+    wg: &WeightedGraph,
+    partition: &Partition,
+    shortcuts: &ShortcutSet,
+    source: NodeId,
+    max_iterations: u32,
+) -> SsspOutcome {
+    let setup = AggregationSetup::build(wg.graph(), partition, shortcuts);
+    let depths = weighted_depths(wg, &setup);
+    let relaxed = relax_accounted(wg, partition, &setup, &depths, source, max_iterations);
+    with_stretch(wg, source, relaxed)
 }
 
 /// Result of [`shortcut_sssp_simulated`]: the accounted outcome plus
@@ -262,38 +315,12 @@ pub fn shortcut_sssp_simulated(
         );
     }
     let g = wg.graph();
-    let n = g.n();
     let setup = AggregationSetup::build(g, partition, shortcuts);
     let depths = weighted_depths(wg, &setup);
     let mut session = Session::new(g, cfg.clone());
-
-    let mut dist = vec![W_UNREACHABLE; n];
-    dist[source as usize] = 0;
-    let mut total_rounds = 0u64;
-    let mut iterations = 0u32;
-    loop {
-        iterations += 1;
-        let mut changed = false;
-        // (a) one Bellman-Ford sweep: 1 round (edge exchange).
-        total_rounds += 1;
-        let snapshot = dist.clone();
-        for e in g.edge_ids() {
-            let (u, v) = g.edge_endpoints(e);
-            let w = wg.weight(e);
-            if snapshot[u as usize] != W_UNREACHABLE && snapshot[u as usize] + w < dist[v as usize]
-            {
-                dist[v as usize] = snapshot[u as usize] + w;
-                changed = true;
-            }
-            if snapshot[v as usize] != W_UNREACHABLE && snapshot[v as usize] + w < dist[u as usize]
-            {
-                dist[u as usize] = snapshot[v as usize] + w;
-                changed = true;
-            }
-        }
-        // (b) partwise tree relaxation, simulated: every part computes
-        // A_i = min over its members of dist(v) + wdepth_i(v) by one
-        // convergecast + broadcast over all trees at once.
+    // Every part finds its A_i by one simulated convergecast +
+    // broadcast over all trees at once.
+    let aggregate = |dist: &[u64], _: &PartMembers| {
         let value = |v: NodeId, part: usize| -> u64 {
             match depths[part].get(&v) {
                 Some(&d)
@@ -305,52 +332,24 @@ pub fn shortcut_sssp_simulated(
                 _ => AggOp::Min.identity(),
             }
         };
-        let (_, agg) = setup.aggregate_in_session(&mut session, AggOp::Min, &value, true)?;
-        total_rounds += agg.stats.rounds;
-        for (tree, depth) in setup.trees.iter().zip(depths.iter()) {
-            let Some(a) = agg.result_at(tree.root, tree.part as u32) else {
-                continue;
-            };
-            if a == AggOp::Min.identity() {
-                continue;
-            }
-            for &(v, _) in &tree.members {
-                if partition.part_of(v) == Some(tree.part as u32) {
-                    let cand = a + depth[&v];
-                    if cand < dist[v as usize] {
-                        dist[v as usize] = cand;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed || iterations >= max_iterations {
-            break;
-        }
-    }
-
-    let exact = dijkstra(wg, source);
-    let mut max_stretch = 1.0f64;
-    let mut sum = 0.0f64;
-    let mut count = 0usize;
-    for v in 0..n {
-        if exact[v] == W_UNREACHABLE || exact[v] == 0 {
-            continue;
-        }
-        debug_assert!(dist[v] >= exact[v], "estimates are upper bounds");
-        let s = dist[v] as f64 / exact[v] as f64;
-        max_stretch = max_stretch.max(s);
-        sum += s;
-        count += 1;
-    }
+        let (minima, agg) = setup.aggregate_in_session(&mut session, AggOp::Min, &value, true)?;
+        let minima = minima
+            .into_iter()
+            .map(|a| a.unwrap_or(W_UNREACHABLE))
+            .collect();
+        Ok((minima, agg.stats.rounds))
+    };
+    let relaxed = relax(
+        wg,
+        partition,
+        &setup,
+        &depths,
+        source,
+        max_iterations,
+        aggregate,
+    )?;
     Ok(SimulatedSsspOutcome {
-        outcome: SsspOutcome {
-            dist,
-            iterations,
-            total_rounds,
-            max_stretch,
-            mean_stretch: if count == 0 { 1.0 } else { sum / count as f64 },
-        },
+        outcome: with_stretch(wg, source, relaxed),
         messages: session.stats().messages,
         phase_rounds: session.phases().iter().map(|p| p.rounds).collect(),
         degraded: None,
@@ -733,5 +732,62 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, SimError::FaultConfig { .. }));
+    }
+    /// FNV-1a over the little-endian bytes of `xs`.
+    fn fnv(xs: &[u64]) -> u64 {
+        xs.iter()
+            .flat_map(|x| x.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            })
+    }
+
+    /// Golden outputs on the fixture, recorded while the accounted,
+    /// simulated and served SSSP were still three separate loops. The
+    /// served path shares the accounted code, so the differential suite
+    /// alone can no longer catch a change that moves both: any moved
+    /// distance, iteration count, round or message charge, or phase
+    /// breakdown fails here.
+    #[test]
+    fn outputs_are_pinned_to_golden_values() {
+        use lcs_congest::Crash;
+        let (wg, p, s) = fixture();
+        let golden = |o: &SsspOutcome| (o.iterations, o.total_rounds, fnv(&o.dist));
+        assert_eq!(
+            golden(&shortcut_sssp(&wg, &p, &s, 0, 3)),
+            (3, 261, 0x36ab_7c45_aa9d_eeba)
+        );
+        assert_eq!(
+            golden(&shortcut_sssp(&wg, &p, &s, 0, 4096)),
+            (41, 3567, 0x94f8_f0c3_b247_0161)
+        );
+
+        let clean = shortcut_sssp_simulated(&wg, &p, &s, 0, 4096, &SimConfig::default()).unwrap();
+        assert_eq!(
+            (golden(&clean.outcome), clean.messages),
+            ((41, 533, 0x94f8_f0c3_b247_0161), 39_360)
+        );
+        assert_eq!(clean.phase_rounds, vec![12; 41]);
+
+        // One permanent crash mid-path (not the detection root, not the
+        // source): the relaxation runs on the survivors' fragments.
+        let plan = FaultPlan {
+            crashes: vec![Crash {
+                node: 20,
+                at_round: 0,
+                recover_at: None,
+            }],
+            ..FaultPlan::default()
+        };
+        let cfg = SimConfig {
+            faults: Some(plan),
+            ..SimConfig::default()
+        };
+        let crashed = shortcut_sssp_simulated(&wg, &p, &s, 0, 4096, &cfg).unwrap();
+        assert_eq!(
+            (golden(&crashed.outcome), crashed.messages),
+            ((37, 1007, 0x2588_a369_aafd_a351), 232_836)
+        );
+        assert_eq!(crashed.phase_rounds, vec![17; 37]);
     }
 }

@@ -35,7 +35,7 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use lcs_apps::{mst_via_shortcuts, MstConfig, MstOutcome};
-use lcs_bench::{f3, highway_workload, Table};
+use lcs_bench::{f3, flag_value, highway_workload, ArgsError, Table};
 use lcs_congest::{Crash, ExecutionMode, FaultPlan};
 use lcs_core::{distributed_shortcuts, splitmix64, DistributedConfig, DistributedOutcome};
 use lcs_graph::{Graph, NodeId, WeightedGraph};
@@ -321,47 +321,62 @@ fn assert_same_shortcuts(name: &str, a: &DistributedOutcome, b: &DistributedOutc
     }
 }
 
-fn parse_args() -> (bool, Vec<usize>, String) {
-    let mut quick = false;
-    let mut shards = vec![1, 4];
-    let mut out_path = "BENCH_adversary.json".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+const USAGE: &str = "usage: adversary_bench [--quick] [--shards K[,K2,...]] [--out PATH] [--help]";
+
+/// The parsed command line.
+#[derive(Debug, PartialEq, Eq)]
+struct Args {
+    quick: bool,
+    /// Shard counts to sweep, 1 first (the determinism baseline).
+    shards: Vec<usize>,
+    out: String,
+}
+
+/// Parses the command line (program name excluded). `--shards` takes a
+/// comma-separated list; shard count 1 always runs first.
+fn parse_args(args: &[String]) -> Result<Args, ArgsError> {
+    let mut a = Args {
+        quick: false,
+        shards: vec![1, 4],
+        out: "BENCH_adversary.json".to_string(),
+    };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--quick" => quick = true,
+            "--quick" => a.quick = true,
             "--shards" => {
-                let Some(spec) = args.next() else {
-                    eprintln!("--shards needs a comma-separated list, e.g. --shards 1,4");
-                    std::process::exit(2);
-                };
-                shards = spec
+                a.shards = flag_value(&mut it, "--shards")?
                     .split(',')
                     .map(|s| {
-                        s.trim().parse().unwrap_or_else(|_| {
-                            eprintln!("bad shard count {s:?}");
-                            std::process::exit(2);
+                        s.trim().parse().map_err(|_| {
+                            ArgsError::Bad(format!("adversary_bench: bad shard count {s:?}"))
                         })
                     })
-                    .collect();
-                if shards.is_empty() || shards[0] != 1 {
-                    // The 1-shard run is the determinism baseline.
-                    shards.retain(|&s| s != 1);
-                    shards.insert(0, 1);
+                    .collect::<Result<_, _>>()?;
+                if a.shards[0] != 1 {
+                    a.shards.retain(|&s| s != 1);
+                    a.shards.insert(0, 1);
                 }
             }
-            "--out" => {
-                if let Some(p) = args.next() {
-                    out_path = p;
-                }
+            "--out" => a.out = flag_value(&mut it, "--out")?.to_string(),
+            "--help" | "-h" => return Err(ArgsError::Help),
+            other => {
+                return Err(ArgsError::Bad(format!(
+                    "adversary_bench: unknown argument {other:?}"
+                )))
             }
-            _ => {}
         }
     }
-    (quick, shards, out_path)
+    Ok(a)
 }
 
 fn main() {
-    let (quick, shard_sweep, out_path) = parse_args();
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        quick,
+        shards: shard_sweep,
+        out: out_path,
+    } = parse_args(&raw).unwrap_or_else(|e| e.exit(USAGE));
     let (n_target, k_crashes) = if quick { (300, 2) } else { (1500, 3) };
 
     let (hw, partition) = highway_workload(n_target, 4);
@@ -545,5 +560,53 @@ fn main() {
     if !diverged.is_empty() {
         eprintln!("DETERMINISM FAILURE: {determinism}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, ArgsError> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parses_the_ci_command_line() {
+        let a = parse(&[
+            "--quick",
+            "--shards",
+            "1,4",
+            "--out",
+            "BENCH_adversary.quick.json",
+        ])
+        .unwrap();
+        assert!(a.quick);
+        assert_eq!(a.shards, vec![1, 4]);
+        assert_eq!(a.out, "BENCH_adversary.quick.json");
+        let a = parse(&[]).unwrap();
+        assert_eq!(
+            (a.shards, a.out.as_str()),
+            (vec![1, 4], "BENCH_adversary.json")
+        );
+        assert_eq!(parse(&["--shards", "4,1,2"]).unwrap().shards, vec![1, 4, 2]);
+    }
+
+    #[test]
+    fn rejects_bad_flags_and_answers_help() {
+        assert_eq!(parse(&["--help"]), Err(ArgsError::Help));
+        assert_eq!(parse(&["--quick", "-h"]), Err(ArgsError::Help));
+        for bad in [
+            &["--shards"][..],
+            &["--shards", "--quick"],
+            &["--shards", "x"],
+            &["--out"],
+            &["--quik"],
+        ] {
+            assert!(
+                matches!(parse(bad), Err(ArgsError::Bad(_))),
+                "{bad:?} must be rejected"
+            );
+        }
     }
 }

@@ -4,7 +4,8 @@
 //! tracked per-PR next to the paper's `k(D)` reference line.
 //!
 //! Usage: `quality_bench [--quick] [--out PATH] [--check PATH]
-//! [--family NAME] [--backend NAME]`
+//! [--family NAME] [--backend NAME]`; an unknown flag or a flag without
+//! its value exits 2, `--help` exits 0.
 //!
 //! `--family` / `--backend` restrict the sweep to cells whose family /
 //! backend name contains the given substring (case-sensitive) — handy
@@ -31,6 +32,7 @@
 //! values per family.
 
 use lcs_bench::quality::{families, fingerprint, registry, run_cell, Cell, Family};
+use lcs_bench::{flag_value, ArgsError};
 use lcs_core::{k_d, KpParams};
 
 const SEED: u64 = 0xC0DE;
@@ -89,37 +91,65 @@ fn extract_str<'a>(json: &'a str, key: &str) -> Option<&'a str> {
     Some(&json[start..end])
 }
 
-/// Parses `--flag VALUE`, rejecting a bare `--flag` (a missing value
-/// must not silently behave like "no filter").
-fn parse_value_flag(args: &[String], flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    match args.get(pos + 1) {
-        Some(v) if !v.starts_with("--") => Some(v.clone()),
-        _ => {
-            eprintln!("quality_bench: {flag} requires a value");
-            std::process::exit(2);
+const USAGE: &str = "usage: quality_bench [--quick] [--out PATH] [--check PATH] \
+                     [--family NAME] [--backend NAME] [--help]";
+
+/// The parsed command line.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Args {
+    quick: bool,
+    /// Explicit output path.
+    out: Option<String>,
+    /// Committed `BENCH_quality.json` to compare the fingerprint against.
+    check: Option<String>,
+    /// Family-name substring filter.
+    family: Option<String>,
+    /// Backend-name substring filter.
+    backend: Option<String>,
+}
+
+/// Parses the command line (program name excluded).
+fn parse_args(args: &[String]) -> Result<Args, ArgsError> {
+    let mut a = Args::default();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--quick" => a.quick = true,
+            "--out" => a.out = Some(flag_value(&mut it, "--out")?.to_string()),
+            "--check" => a.check = Some(flag_value(&mut it, "--check")?.to_string()),
+            "--family" => a.family = Some(flag_value(&mut it, "--family")?.to_string()),
+            "--backend" => a.backend = Some(flag_value(&mut it, "--backend")?.to_string()),
+            "--help" | "-h" => return Err(ArgsError::Help),
+            other => {
+                return Err(ArgsError::Bad(format!(
+                    "quality_bench: unknown argument {other:?}"
+                )))
+            }
         }
     }
+    if (a.family.is_some() || a.backend.is_some()) && a.check.is_some() {
+        return Err(ArgsError::Bad(
+            "quality_bench: --family/--backend cannot be combined with --check \
+             (a partial grid cannot be compared against the committed full fingerprint)"
+                .into(),
+        ));
+    }
+    Ok(a)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let explicit_out = parse_value_flag(&args, "--out");
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        quick,
+        out: explicit_out,
+        check: check_path,
+        family: family_filter,
+        backend: backend_filter,
+    } = parse_args(&raw).unwrap_or_else(|e| e.exit(USAGE));
     let out_path = explicit_out
         .clone()
         .unwrap_or_else(|| "BENCH_quality.json".to_string());
-    let check_path = parse_value_flag(&args, "--check");
-    let family_filter = parse_value_flag(&args, "--family");
-    let backend_filter = parse_value_flag(&args, "--backend");
     let filtered = family_filter.is_some() || backend_filter.is_some();
-    if filtered && check_path.is_some() {
-        eprintln!(
-            "quality_bench: --family/--backend cannot be combined with --check \
-             (a partial grid cannot be compared against the committed full fingerprint)"
-        );
-        std::process::exit(2);
-    }
 
     let fams = families(quick, SEED);
     let mut cells: Vec<Cell> = Vec::new();
@@ -218,5 +248,47 @@ fn main() {
     if filtered && cells.is_empty() {
         eprintln!("quality_bench: the --family/--backend filters matched no cells");
         std::process::exit(2);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, ArgsError> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parses_the_ci_command_lines() {
+        let a = parse(&["--quick", "--check", "BENCH_quality.json"]).unwrap();
+        assert!(a.quick);
+        assert_eq!(a.check.as_deref(), Some("BENCH_quality.json"));
+        assert_eq!(a.out, None);
+        let a = parse(&["--family", "grid", "--backend", "kp", "--out", "x.json"]).unwrap();
+        assert_eq!(
+            (a.family.as_deref(), a.backend.as_deref(), a.out.as_deref()),
+            (Some("grid"), Some("kp"), Some("x.json"))
+        );
+    }
+
+    #[test]
+    fn rejects_bad_flags_and_answers_help() {
+        assert_eq!(parse(&["--help"]), Err(ArgsError::Help));
+        assert_eq!(parse(&["--quick", "-h"]), Err(ArgsError::Help));
+        for bad in [
+            &["--out"][..],
+            &["--family", "--quick"],
+            &["--check"],
+            &["--backend"],
+            &["--quik"],
+            &["--family", "grid", "--check", "BENCH_quality.json"],
+            &["--check", "BENCH_quality.json", "--backend", "kp"],
+        ] {
+            assert!(
+                matches!(parse(bad), Err(ArgsError::Bad(_))),
+                "{bad:?} must be rejected"
+            );
+        }
     }
 }

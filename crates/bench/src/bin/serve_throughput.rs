@@ -4,7 +4,8 @@
 //! — the wall-clock case for preprocess-once, query-many — emitted as
 //! `BENCH_serve.json`.
 //!
-//! Usage: `serve_throughput [--quick] [--pools K[,K2,...]] [--out PATH]`
+//! Usage: `serve_throughput [--quick] [--pools K[,K2,...]] [--out PATH]
+//! [--check PATH]`
 //!
 //! `--quick` shrinks the workload to CI scale. `--pools` takes a
 //! comma-separated sweep of pool sizes (pool size 1 is always measured
@@ -12,6 +13,14 @@
 //! records the batch fingerprint, and **exits nonzero if any pool
 //! size's results diverge from the 1-worker run's** — CI runs `--quick`
 //! and relies on that exit code as the serve determinism gate.
+//!
+//! `--check PATH` also compares every `(pool, batch)` fingerprint with
+//! a committed `BENCH_serve.json` and exits 1 on any difference (2 when
+//! the committed file is a run of the other mode). The fingerprints
+//! fold every answer's integer payload — SSSP distances, iterations and
+//! rounds included — so this pins the served outputs, not just their
+//! pool invariance. A checking run writes a file only with `--out`;
+//! otherwise the results go to `--out` or `BENCH_serve.json`.
 //!
 //! The amortization section times, for N ∈ {1, 4, 16, ...}:
 //!
@@ -22,6 +31,7 @@
 //! Serving N ≥ 16 mixed queries from one index must beat N one-shot
 //! runs by ≥ 5× (the construction is repaid once instead of N times).
 
+use lcs_bench::{flag_value, ArgsError};
 use lcs_congest::AggOp;
 use lcs_core::{build_index_distributed, DistributedConfig};
 use lcs_graph::{HighwayGraph, HighwayParams, NodeId, WeightedGraph};
@@ -97,44 +107,137 @@ impl Amortization {
     }
 }
 
-fn parse_pool_sweep(args: &[String]) -> Vec<usize> {
-    let flag = args.iter().position(|a| a == "--pools");
-    let raw = flag.and_then(|i| args.get(i + 1));
-    if flag.is_some() && raw.is_none_or(|v| v.starts_with("--")) {
-        eprintln!("serve_throughput: --pools requires a value (e.g. --pools 1,4)");
-        std::process::exit(2);
-    }
-    let mut sweep = vec![1usize];
-    if let Some(raw) = raw {
-        for piece in raw.split(',') {
-            match piece.trim().parse::<usize>() {
-                Ok(k) if k >= 1 => {
-                    if !sweep.contains(&k) {
-                        sweep.push(k);
+const USAGE: &str = "usage: serve_throughput [--quick] [--pools K[,K2,...]] [--out PATH] \
+                     [--check PATH] [--help]";
+
+/// The parsed command line.
+#[derive(Debug, PartialEq, Eq)]
+struct Args {
+    quick: bool,
+    /// Pool sizes to sweep, 1 first.
+    pools: Vec<usize>,
+    /// Explicit output path.
+    out: Option<String>,
+    /// Committed `BENCH_serve.json` to compare fingerprints against.
+    check: Option<String>,
+}
+
+/// Parses the command line (program name excluded). `--pools 1,4` is a
+/// comma-separated sweep and `--pools 4` is shorthand for `1,4`: pool
+/// size 1 is always included as the baseline and measured first.
+/// Without `--pools` the sweep is `1,4`.
+fn parse_args(args: &[String]) -> Result<Args, ArgsError> {
+    let mut a = Args {
+        quick: false,
+        pools: vec![1],
+        out: None,
+        check: None,
+    };
+    let mut pools_given = false;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--quick" => a.quick = true,
+            "--pools" => {
+                pools_given = true;
+                for piece in flag_value(&mut it, "--pools")?.split(',') {
+                    match piece.trim().parse::<usize>() {
+                        Ok(k) if k >= 1 => {
+                            if !a.pools.contains(&k) {
+                                a.pools.push(k);
+                            }
+                        }
+                        _ => {
+                            return Err(ArgsError::Bad(format!(
+                                "serve_throughput: bad --pools value {piece:?}"
+                            )))
+                        }
                     }
                 }
-                _ => {
-                    eprintln!("serve_throughput: bad --pools value {piece:?}");
-                    std::process::exit(2);
-                }
+            }
+            "--out" => a.out = Some(flag_value(&mut it, "--out")?.to_string()),
+            "--check" => a.check = Some(flag_value(&mut it, "--check")?.to_string()),
+            "--help" | "-h" => return Err(ArgsError::Help),
+            other => {
+                return Err(ArgsError::Bad(format!(
+                    "serve_throughput: unknown argument {other:?}"
+                )))
             }
         }
-    } else {
-        sweep.push(4);
     }
-    sweep
+    if !pools_given {
+        a.pools.push(4);
+    }
+    Ok(a)
+}
+
+/// The value of `"key":` in one line of a `BENCH_serve.json`, quotes
+/// stripped.
+fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let pat = format!("\"{key}\":");
+    let rest = &line[line.find(&pat)? + pat.len()..];
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    Some(rest[..end].trim().trim_matches('"'))
+}
+
+/// Compares this run's `(pool, batch)` fingerprints with a committed
+/// `BENCH_serve.json`; returns one line per difference.
+fn check_fingerprints(committed: &str, cells: &[Cell]) -> Vec<String> {
+    let want: Vec<(&str, &str, &str)> = committed
+        .lines()
+        .filter_map(|line| {
+            Some((
+                json_field(line, "pool")?,
+                json_field(line, "batch")?,
+                json_field(line, "fingerprint")?,
+            ))
+        })
+        .collect();
+    let mut diffs = Vec::new();
+    for c in cells {
+        let (pool, batch) = (c.pool.to_string(), c.batch.to_string());
+        let got = format!("{:#018x}", c.fingerprint);
+        match want.iter().find(|(p, b, _)| *p == pool && *b == batch) {
+            None => diffs.push(format!(
+                "pool {pool} batch {batch}: not in the committed file"
+            )),
+            Some((_, _, w)) if *w != got => diffs.push(format!(
+                "pool {pool} batch {batch}: fingerprint {got} != committed {w}"
+            )),
+            Some(_) => {}
+        }
+    }
+    for (pool, batch, _) in &want {
+        if !cells
+            .iter()
+            .any(|c| c.pool.to_string() == *pool && c.batch.to_string() == *batch)
+        {
+            diffs.push(format!("pool {pool} batch {batch}: committed but not run"));
+        }
+    }
+    diffs
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let pool_sweep = parse_pool_sweep(&args);
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_serve.json".to_string());
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&raw).unwrap_or_else(|e| e.exit(USAGE));
+    let quick = args.quick;
+    let pool_sweep = args.pools.clone();
+    // Read the committed file before anything can overwrite it.
+    let committed = args.check.as_ref().map(|path| {
+        let json = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("serve_throughput --check: cannot read {path}: {e}"));
+        let mode = if quick { "quick" } else { "full" };
+        let want_mode = json_field(&json, "mode").unwrap_or("?");
+        if want_mode != mode {
+            ArgsError::Bad(format!(
+                "serve_throughput: committed {path} is a \"{want_mode}\" run; \
+                 this is a \"{mode}\" run — modes must match to compare"
+            ))
+            .exit(USAGE);
+        }
+        json
+    });
 
     // The constant-diameter highway workload the paper's lower bound
     // lives on: Γ vertex-disjoint paths through a D=4 core.
@@ -300,12 +403,109 @@ fn main() {
             .collect::<Vec<_>>()
             .join(",\n    "),
     );
-    std::fs::write(&out_path, &json).expect("write BENCH_serve.json");
-    eprintln!("wrote {out_path}");
+    let out_path = match (&args.out, &args.check) {
+        (Some(path), _) => Some(path.as_str()),
+        (None, None) => Some("BENCH_serve.json"),
+        (None, Some(_)) => None,
+    };
+    if let Some(path) = out_path {
+        std::fs::write(path, &json).expect("write BENCH_serve.json");
+        eprintln!("wrote {path}");
+    }
     println!("{json}");
+    let mut failed = false;
     if diverged {
         eprintln!("serve_throughput: served results diverged across pool sizes");
+        failed = true;
+    } else {
+        eprintln!("serve determinism check: ok");
+    }
+    if let (Some(committed), Some(path)) = (&committed, &args.check) {
+        let diffs = check_fingerprints(committed, &cells);
+        for d in &diffs {
+            eprintln!("FINGERPRINT MISMATCH vs {path}: {d}");
+        }
+        if diffs.is_empty() {
+            eprintln!("fingerprint check against {path}: ok");
+        } else {
+            eprintln!(
+                "(regenerate with `serve_throughput --quick --pools 1,4 --out {path}` if intentional)"
+            );
+            failed = true;
+        }
+    }
+    if failed {
         std::process::exit(1);
     }
-    eprintln!("serve determinism check: ok");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, ArgsError> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parses_the_ci_command_line() {
+        let a = parse(&[
+            "--quick",
+            "--pools",
+            "1,4",
+            "--check",
+            "BENCH_serve.json",
+            "--out",
+            "BENCH_serve.quick.json",
+        ])
+        .unwrap();
+        assert!(a.quick);
+        assert_eq!(a.pools, vec![1, 4]);
+        assert_eq!(a.check.as_deref(), Some("BENCH_serve.json"));
+        assert_eq!(a.out.as_deref(), Some("BENCH_serve.quick.json"));
+        assert_eq!(parse(&[]).unwrap().pools, vec![1, 4]);
+        assert_eq!(parse(&["--pools", "8,2"]).unwrap().pools, vec![1, 8, 2]);
+    }
+
+    #[test]
+    fn rejects_bad_flags_and_answers_help() {
+        assert_eq!(parse(&["--help"]), Err(ArgsError::Help));
+        assert_eq!(parse(&["--quick", "-h"]), Err(ArgsError::Help));
+        for bad in [
+            &["--pools"][..],
+            &["--pools", "--quick"],
+            &["--pools", "0"],
+            &["--out"],
+            &["--check"],
+            &["--quik"],
+        ] {
+            assert!(
+                matches!(parse(bad), Err(ArgsError::Bad(_))),
+                "{bad:?} must be rejected"
+            );
+        }
+    }
+
+    #[test]
+    fn check_reads_back_what_the_bench_writes() {
+        let cell = |pool, batch, fingerprint| Cell {
+            pool,
+            batch,
+            elapsed_s: 0.5,
+            fingerprint,
+        };
+        let cells = vec![cell(1, 4, 0xAB), cell(4, 4, 0xAB)];
+        let json = format!(
+            "{{\n  \"mode\": \"quick\",\n    {},\n    {}\n}}",
+            cells[0].json(),
+            cells[1].json()
+        );
+        assert!(check_fingerprints(&json, &cells).is_empty());
+        let moved = vec![cell(1, 4, 0xAB), cell(4, 4, 0xAC)];
+        assert_eq!(check_fingerprints(&json, &moved).len(), 1);
+        let missing = vec![cell(1, 4, 0xAB)];
+        assert_eq!(check_fingerprints(&json, &missing).len(), 1);
+        let extra = vec![cell(1, 4, 0xAB), cell(4, 4, 0xAB), cell(1, 16, 0xCD)];
+        assert_eq!(check_fingerprints(&json, &extra).len(), 1);
+    }
 }

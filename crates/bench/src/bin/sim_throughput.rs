@@ -38,7 +38,7 @@
 //! the shortcut-quality experiments need.
 
 use lcs_bench::sim_workloads::{multi_bfs_spec, Clock, Saturate};
-use lcs_bench::ArgsError;
+use lcs_bench::{flag_value, ArgsError};
 use lcs_congest::{
     positions_from_tree, AggOp, Bfs, MultiAggregate, MultiBfs, Participation, Protocol, RoundCtx,
     RunStats, Session, SimConfig, TreeAggregate,
@@ -418,17 +418,6 @@ struct Args {
     out: Option<String>,
     /// Committed `BENCH_sim.json` to compare fingerprints against.
     check: Option<String>,
-}
-
-/// The value after `flag`; a missing value or another flag in its
-/// place is an error (a bare `--shards` must not silently degrade to a
-/// 1-shard run that passes the determinism gate without testing
-/// anything).
-fn flag_value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a str, ArgsError> {
-    it.next()
-        .map(String::as_str)
-        .filter(|v| !v.starts_with("--"))
-        .ok_or_else(|| ArgsError::Bad(format!("sim_throughput: {flag} requires a value")))
 }
 
 fn count_value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<usize, ArgsError> {

@@ -143,6 +143,24 @@ impl ArgsError {
     }
 }
 
+/// The value after `flag` in a command line being parsed. A missing
+/// value, or another flag in its place, is [`ArgsError::Bad`]: a bare
+/// `--shards` must not silently fall back to a default that passes a
+/// gate without testing anything.
+///
+/// # Errors
+///
+/// [`ArgsError::Bad`] when no value follows `flag`.
+pub fn flag_value<'a>(
+    it: &mut std::slice::Iter<'a, String>,
+    flag: &str,
+) -> Result<&'a str, ArgsError> {
+    it.next()
+        .map(String::as_str)
+        .filter(|v| !v.starts_with("--"))
+        .ok_or_else(|| ArgsError::Bad(format!("{flag} requires a value")))
+}
+
 /// The flags every experiment binary accepts: `--quick`, `--trace`
 /// (alias `--trichotomy`) and `--seed N`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

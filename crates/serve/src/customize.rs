@@ -6,6 +6,7 @@
 //! relaxation needs) are recomputed, which is a single pass over the
 //! tree edges.
 
+use lcs_apps::weighted_depths;
 use lcs_graph::{NodeId, WeightedGraph};
 use lcs_shortcut::{AggregationSetup, ShortcutIndex};
 use std::collections::HashMap;
@@ -39,10 +40,9 @@ pub struct CustomizedIndex {
     wg: WeightedGraph,
     setup: AggregationSetup,
     /// Weighted depth of every tree node from its tree root, one map
-    /// per part tree — the table [`shortcut_sssp`]'s tree relaxation
-    /// keys on, recomputed here at customization time.
-    ///
-    /// [`shortcut_sssp`]: lcs_apps::shortcut_sssp
+    /// per part tree: [`lcs_apps::weighted_depths`] of the frozen trees
+    /// under the active weights, computed once here at customization
+    /// time instead of once per SSSP query.
     depths: Vec<HashMap<NodeId, u64>>,
 }
 
@@ -103,35 +103,4 @@ impl CustomizedIndex {
     pub fn depths(&self) -> &[HashMap<NodeId, u64>] {
         &self.depths
     }
-}
-
-/// Weighted depth of every tree node from the tree root, per part tree
-/// — identical to the table `lcs_apps::shortcut_sssp` derives
-/// internally (the differential suite holds the two byte-identical).
-fn weighted_depths(wg: &WeightedGraph, setup: &AggregationSetup) -> Vec<HashMap<NodeId, u64>> {
-    let g = wg.graph();
-    setup
-        .trees
-        .iter()
-        .map(|tree| {
-            let mut children: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-            for &(v, parent) in &tree.members {
-                if let Some(p) = parent {
-                    children.entry(p).or_default().push(v);
-                }
-            }
-            let mut depth: HashMap<NodeId, u64> = HashMap::new();
-            depth.insert(tree.root, 0);
-            let mut queue = std::collections::VecDeque::from([tree.root]);
-            while let Some(p) = queue.pop_front() {
-                let dp = depth[&p];
-                for &v in children.get(&p).map(|c| c.as_slice()).unwrap_or(&[]) {
-                    let e = g.edge_between(p, v).expect("tree edge");
-                    depth.insert(v, dp + wg.weight(e));
-                    queue.push_back(v);
-                }
-            }
-            depth
-        })
-        .collect()
 }

@@ -11,10 +11,10 @@
 
 use crate::customize::CustomizedIndex;
 use crate::Fnv;
-use lcs_apps::{approximate_min_cut, mst_via_shortcuts, MinCutConfig, MstConfig};
+use lcs_apps::{approximate_min_cut, mst_via_shortcuts, relax_accounted, MinCutConfig, MstConfig};
 use lcs_congest::AggOp;
 use lcs_core::splitmix64;
-use lcs_graph::{EdgeId, NodeId, W_UNREACHABLE};
+use lcs_graph::{EdgeId, NodeId};
 
 /// One request against the index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,76 +169,26 @@ pub(crate) fn answer(cx: &CustomizedIndex, query: &Query, seed: u64) -> QueryRes
     }
 }
 
-/// The interleaved Bellman–Ford + partwise tree relaxation, driven by
-/// the **customized tables** (frozen trees + recomputed weighted
-/// depths) instead of rebuilding them per call. Distances, iteration
-/// count, and round accounting are byte-identical to
-/// [`lcs_apps::shortcut_sssp`] on the same inputs — the differential
-/// suite pins this.
+/// The interleaved Bellman–Ford + partwise tree relaxation,
+/// [`lcs_apps::relax_accounted`], driven by the **customized tables**
+/// (frozen trees + per-weighting depths) instead of rebuilding them per
+/// call. It is the loop [`lcs_apps::shortcut_sssp`] runs, so distances,
+/// iteration count and round accounting match the one-shot pipeline on
+/// the same inputs.
 fn sssp(cx: &CustomizedIndex, source: NodeId, max_iterations: u32) -> QueryResult {
     let wg = cx.weighted_graph();
-    let g = wg.graph();
-    let n = g.n();
+    let n = wg.graph().n();
     if source as usize >= n {
         return QueryResult::Failed(format!("sssp source {source} out of range (n={n})"));
     }
-    let setup = cx.setup();
-    let depths = cx.depths();
-    let partition = cx.index().partition();
-    let agg_rounds = setup.schedule_cost().rounds_no_precompute(n.max(2)) * 2;
-
-    let mut dist = vec![W_UNREACHABLE; n];
-    dist[source as usize] = 0;
-    let mut total_rounds = 0u64;
-    let mut iterations = 0u32;
-    loop {
-        iterations += 1;
-        let mut changed = false;
-        // (a) one Bellman-Ford sweep: 1 round.
-        total_rounds += 1;
-        let snapshot = dist.clone();
-        for e in g.edge_ids() {
-            let (u, v) = g.edge_endpoints(e);
-            let w = wg.weight(e);
-            if snapshot[u as usize] != W_UNREACHABLE && snapshot[u as usize] + w < dist[v as usize]
-            {
-                dist[v as usize] = snapshot[u as usize] + w;
-                changed = true;
-            }
-            if snapshot[v as usize] != W_UNREACHABLE && snapshot[v as usize] + w < dist[u as usize]
-            {
-                dist[u as usize] = snapshot[v as usize] + w;
-                changed = true;
-            }
-        }
-        // (b) partwise tree relaxation over the frozen trees.
-        total_rounds += agg_rounds;
-        for (tree, depth) in setup.trees.iter().zip(depths.iter()) {
-            let mut a = W_UNREACHABLE;
-            for &(v, _) in &tree.members {
-                if partition.part_of(v) == Some(tree.part as u32)
-                    && dist[v as usize] != W_UNREACHABLE
-                {
-                    a = a.min(dist[v as usize] + depth[&v]);
-                }
-            }
-            if a == W_UNREACHABLE {
-                continue;
-            }
-            for &(v, _) in &tree.members {
-                if partition.part_of(v) == Some(tree.part as u32) {
-                    let cand = a + depth[&v];
-                    if cand < dist[v as usize] {
-                        dist[v as usize] = cand;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed || iterations >= max_iterations {
-            break;
-        }
-    }
+    let (dist, iterations, total_rounds) = relax_accounted(
+        wg,
+        cx.index().partition(),
+        cx.setup(),
+        cx.depths(),
+        source,
+        max_iterations,
+    );
     QueryResult::Sssp {
         dist,
         iterations,
