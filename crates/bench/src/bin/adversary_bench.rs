@@ -25,17 +25,24 @@
 //! ([`mst_via_shortcuts`]) on the same highway instance with
 //! deterministic weights.
 //!
+//! Usage: `adversary_bench [--quick] [--shards K[,K2,...]] [--out PATH]
+//! [--check PATH] [--help]`; the flags, the output policy and the exit
+//! codes are the shared gate's ([`lcs_bench::gate`]).
+//!
 //! Like `sim_throughput`, the bin doubles as a CI gate: every scenario
-//! is run at each shard count of `--shards` and the process exits
-//! nonzero if any sharded run's fingerprint, phase breakdown, or
-//! excision set diverges from the 1-shard run's — graceful degradation
-//! is inside the same determinism contract as the fault-free engine.
+//! is run at each shard count of `--shards` (default `1,4`) and the
+//! process exits 1 if any sharded run's fingerprint, phase breakdown,
+//! costs or excision set diverge from the 1-shard run's — graceful
+//! degradation is inside the same determinism contract as the
+//! fault-free engine. `--check PATH` also compares every scenario's
+//! 1-shard fingerprints with a committed `BENCH_adversary.json`.
 
 use std::collections::HashSet;
 use std::time::Instant;
 
 use lcs_apps::{mst_via_shortcuts, MstConfig, MstOutcome};
-use lcs_bench::{f3, flag_value, highway_workload, ArgsError, Table};
+use lcs_bench::gate::{self, Doc, Gate, Row, Sweep};
+use lcs_bench::{f3, highway_workload, Table};
 use lcs_congest::{Crash, ExecutionMode, FaultPlan};
 use lcs_core::{distributed_shortcuts, splitmix64, DistributedConfig, DistributedOutcome};
 use lcs_graph::{Graph, NodeId, WeightedGraph};
@@ -64,54 +71,28 @@ struct Measurement {
     /// Cumulative engine fingerprint (shortcut family) or a fold over
     /// the full outcome (MST family — no session stats are exposed).
     stats_fingerprint: u64,
-    /// `(label, rounds, messages, fingerprint)` per phase, detection
-    /// phases included; empty for the MST family.
-    phases: Vec<(String, u64, u64, u64)>,
+    /// Per-phase breakdown, detection phases included, as
+    /// [`gate::phases`] writes it; empty for the MST family.
+    phases: String,
 }
 
 impl Measurement {
     fn json(&self) -> String {
-        let phases = if self.phases.is_empty() {
-            String::new()
-        } else {
-            let body = self
-                .phases
-                .iter()
-                .map(|(label, rounds, messages, fp)| {
-                    format!(
-                        concat!(
-                            "{{\"label\":\"{}\",\"rounds\":{},",
-                            "\"messages\":{},\"fingerprint\":\"{:#018x}\"}}"
-                        ),
-                        label, rounds, messages, fp
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(",");
-            format!(",\"phases\":[{body}]")
-        };
-        format!(
-            concat!(
-                "{{\"name\":\"{}\",\"n\":{},\"m\":{},\"shards\":{},",
-                "\"rounds\":{},\"messages\":{},\"elapsed_s\":{:.6},",
-                "\"excluded\":{},\"extra_rounds\":{},",
-                "\"overhead_rounds\":{:.4},\"overhead_messages\":{:.4},",
-                "\"stats_fingerprint\":\"{:#018x}\"{}}}"
-            ),
-            self.name,
-            self.n,
-            self.m,
-            self.shards,
-            self.rounds,
-            self.messages,
-            self.elapsed_s,
-            self.excluded,
-            self.extra_rounds,
-            self.overhead_rounds,
-            self.overhead_messages,
-            self.stats_fingerprint,
-            phases,
-        )
+        Row::default()
+            .str("name", &self.name)
+            .val("n", self.n)
+            .val("m", self.m)
+            .val("shards", self.shards)
+            .val("rounds", self.rounds)
+            .val("messages", self.messages)
+            .fixed("elapsed_s", self.elapsed_s, 6)
+            .val("excluded", self.excluded)
+            .val("extra_rounds", self.extra_rounds)
+            .fixed("overhead_rounds", self.overhead_rounds, 4)
+            .fixed("overhead_messages", self.overhead_messages, 4)
+            .fp("stats_fingerprint", self.stats_fingerprint)
+            .phases(&self.phases)
+            .end()
     }
 }
 
@@ -226,10 +207,10 @@ fn run_shortcuts(
     let out = distributed_shortcuts(g, partition, &cfg)
         .unwrap_or_else(|e| panic!("{name}: pipeline failed: {e}"));
     let secs = t.elapsed().as_secs_f64();
-    let (excluded, extra_rounds) = match &out.degraded {
-        Some(d) => (d.excluded_nodes.len(), d.extra_rounds),
-        None => (0, 0),
-    };
+    let (excluded, extra_rounds) = out
+        .degraded
+        .as_ref()
+        .map_or((0, 0), |d| (d.excluded_nodes.len(), d.extra_rounds));
     let m = Measurement {
         name: name.to_string(),
         n: g.n(),
@@ -243,11 +224,7 @@ fn run_shortcuts(
         overhead_rounds: 1.0,
         overhead_messages: 1.0,
         stats_fingerprint: out.stats.fingerprint(),
-        phases: out
-            .phase_stats
-            .iter()
-            .map(|s| (s.label.clone(), s.rounds, s.messages, s.fingerprint()))
-            .collect(),
+        phases: gate::phases(&out.phase_stats),
     };
     (m, out)
 }
@@ -283,10 +260,10 @@ fn run_mst(name: &str, wg: &WeightedGraph, shards: usize, plan: Option<FaultPlan
     let t = Instant::now();
     let out = mst_via_shortcuts(wg, &cfg).unwrap_or_else(|e| panic!("{name}: Boruvka failed: {e}"));
     let secs = t.elapsed().as_secs_f64();
-    let (excluded, extra_rounds) = match &out.degraded {
-        Some(d) => (d.excluded_nodes.len(), d.extra_rounds),
-        None => (0, 0),
-    };
+    let (excluded, extra_rounds) = out
+        .degraded
+        .as_ref()
+        .map_or((0, 0), |d| (d.excluded_nodes.len(), d.extra_rounds));
     Measurement {
         name: name.to_string(),
         n: wg.graph().n(),
@@ -300,7 +277,7 @@ fn run_mst(name: &str, wg: &WeightedGraph, shards: usize, plan: Option<FaultPlan
         overhead_rounds: 1.0,
         overhead_messages: 1.0,
         stats_fingerprint: mst_fingerprint(&out),
-        phases: Vec::new(),
+        phases: String::new(),
     }
 }
 
@@ -321,62 +298,22 @@ fn assert_same_shortcuts(name: &str, a: &DistributedOutcome, b: &DistributedOutc
     }
 }
 
-const USAGE: &str = "usage: adversary_bench [--quick] [--shards K[,K2,...]] [--out PATH] [--help]";
-
-/// The parsed command line.
-#[derive(Debug, PartialEq, Eq)]
-struct Args {
-    quick: bool,
-    /// Shard counts to sweep, 1 first (the determinism baseline).
-    shards: Vec<usize>,
-    out: String,
-}
-
-/// Parses the command line (program name excluded). `--shards` takes a
-/// comma-separated list; shard count 1 always runs first.
-fn parse_args(args: &[String]) -> Result<Args, ArgsError> {
-    let mut a = Args {
-        quick: false,
-        shards: vec![1, 4],
-        out: "BENCH_adversary.json".to_string(),
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => a.quick = true,
-            "--shards" => {
-                a.shards = flag_value(&mut it, "--shards")?
-                    .split(',')
-                    .map(|s| {
-                        s.trim().parse().map_err(|_| {
-                            ArgsError::Bad(format!("adversary_bench: bad shard count {s:?}"))
-                        })
-                    })
-                    .collect::<Result<_, _>>()?;
-                if a.shards[0] != 1 {
-                    a.shards.retain(|&s| s != 1);
-                    a.shards.insert(0, 1);
-                }
-            }
-            "--out" => a.out = flag_value(&mut it, "--out")?.to_string(),
-            "--help" | "-h" => return Err(ArgsError::Help),
-            other => {
-                return Err(ArgsError::Bad(format!(
-                    "adversary_bench: unknown argument {other:?}"
-                )))
-            }
-        }
-    }
-    Ok(a)
-}
+const ADVERSARY: Gate = Gate {
+    bench: "adversary_bench",
+    default_out: "BENCH_adversary.json",
+    sweep: Some(Sweep {
+        flag: "--shards",
+        key: "shards",
+        default: &[1, 4],
+    }),
+    id_key: Some("name"),
+    extra_usage: "",
+};
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Args {
-        quick,
-        shards: shard_sweep,
-        out: out_path,
-    } = parse_args(&raw).unwrap_or_else(|e| e.exit(USAGE));
+    let args = ADVERSARY.from_env();
+    let committed = ADVERSARY.committed(&args);
+    let quick = args.quick;
     let (n_target, k_crashes) = if quick { (300, 2) } else { (1500, 3) };
 
     let (hw, partition) = highway_workload(n_target, 4);
@@ -397,7 +334,7 @@ fn main() {
     add_transient(&mut blind_t, g.n());
 
     let mut all: Vec<Measurement> = Vec::new();
-    for &shards in &shard_sweep {
+    for &shards in &args.sweep {
         let (base, base_out) = run_shortcuts("sc_fault_free", g, &partition, shards, None);
         let (random, random_out) = run_shortcuts(
             "sc_random",
@@ -481,32 +418,6 @@ fn main() {
         all.extend(batch);
     }
 
-    // Shard-determinism gate: fingerprints, phase breakdowns, costs,
-    // and excision sets must be bit-identical to the 1-shard baseline.
-    let mut diverged = Vec::new();
-    let baseline: Vec<Measurement> = all.iter().filter(|m| m.shards == 1).cloned().collect();
-    for m in all.iter().filter(|m| m.shards != 1) {
-        let b = baseline
-            .iter()
-            .find(|b| b.name == m.name)
-            .expect("baseline scenario");
-        if (
-            m.stats_fingerprint,
-            &m.phases,
-            m.rounds,
-            m.messages,
-            m.excluded,
-        ) != (
-            b.stats_fingerprint,
-            &b.phases,
-            b.rounds,
-            b.messages,
-            b.excluded,
-        ) {
-            diverged.push(format!("{} @ {} shards", m.name, m.shards));
-        }
-    }
-
     let mut table = Table::new(
         "Adversarial vs random fault placement",
         &[
@@ -534,62 +445,48 @@ fn main() {
     }
     table.print();
 
-    let determinism = if diverged.is_empty() {
-        "ok".to_string()
-    } else {
-        format!("DIVERGED: {}", diverged.join(", "))
-    };
-    let body = all
-        .iter()
-        .map(Measurement::json)
-        .collect::<Vec<_>>()
-        .join(",\n    ");
-    let json = format!(
-        concat!(
-            "{{\n  \"bench\": \"adversary_bench\",\n  \"mode\": \"{}\",\n",
-            "  \"shard_sweep\": {:?},\n  \"determinism\": \"{}\",\n",
-            "  \"scenarios\": [\n    {}\n  ]\n}}\n"
-        ),
-        if quick { "quick" } else { "full" },
-        shard_sweep,
-        determinism,
-        body,
-    );
-    std::fs::write(&out_path, &json).expect("write BENCH_adversary.json");
-    println!("{json}");
-    if !diverged.is_empty() {
-        eprintln!("DETERMINISM FAILURE: {determinism}");
-        std::process::exit(1);
-    }
+    // Shard-determinism gate: fingerprints, phase breakdowns, costs,
+    // and excision sets must be bit-identical to the 1-shard baseline.
+    let rows: Vec<String> = all.iter().map(Measurement::json).collect();
+    let diverged = ADVERSARY.divergences(&rows);
+    let json = Doc::new("adversary_bench", args.mode())
+        .field("shard_sweep", format_args!("{:?}", args.sweep))
+        .str("determinism", gate::determinism(&diverged))
+        .rows("scenarios", rows)
+        .end();
+    ADVERSARY.finish(&args, committed.as_deref(), &json, &diverged);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcs_bench::ArgsError;
 
-    fn parse(args: &[&str]) -> Result<Args, ArgsError> {
-        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    fn parse(args: &[&str]) -> Result<gate::GateArgs, ArgsError> {
+        ADVERSARY.parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
     }
 
     #[test]
     fn parses_the_ci_command_line() {
         let a = parse(&[
-            "--quick",
             "--shards",
             "1,4",
+            "--check",
+            "BENCH_adversary.json",
             "--out",
-            "BENCH_adversary.quick.json",
+            "BENCH_adversary.check.json",
         ])
         .unwrap();
-        assert!(a.quick);
-        assert_eq!(a.shards, vec![1, 4]);
-        assert_eq!(a.out, "BENCH_adversary.quick.json");
+        assert!(!a.quick);
+        assert_eq!(a.sweep, vec![1, 4]);
+        assert_eq!(a.check.as_deref(), Some("BENCH_adversary.json"));
+        assert_eq!(ADVERSARY.out_path(&a), Some("BENCH_adversary.check.json"));
         let a = parse(&[]).unwrap();
         assert_eq!(
-            (a.shards, a.out.as_str()),
-            (vec![1, 4], "BENCH_adversary.json")
+            (a.sweep.clone(), ADVERSARY.out_path(&a)),
+            (vec![1, 4], Some("BENCH_adversary.json"))
         );
-        assert_eq!(parse(&["--shards", "4,1,2"]).unwrap().shards, vec![1, 4, 2]);
+        assert_eq!(parse(&["--shards", "4,1,2"]).unwrap().sweep, vec![1, 4, 2]);
     }
 
     #[test]
@@ -600,7 +497,9 @@ mod tests {
             &["--shards"][..],
             &["--shards", "--quick"],
             &["--shards", "x"],
+            &["--shards", "0"],
             &["--out"],
+            &["--check"],
             &["--quik"],
         ] {
             assert!(

@@ -5,22 +5,13 @@
 //! `BENCH_serve.json`.
 //!
 //! Usage: `serve_throughput [--quick] [--pools K[,K2,...]] [--out PATH]
-//! [--check PATH]`
-//!
-//! `--quick` shrinks the workload to CI scale. `--pools` takes a
-//! comma-separated sweep of pool sizes (pool size 1 is always measured
-//! first as the baseline). For every `(pool, batch)` cell the run
-//! records the batch fingerprint, and **exits nonzero if any pool
-//! size's results diverge from the 1-worker run's** — CI runs `--quick`
-//! and relies on that exit code as the serve determinism gate.
-//!
-//! `--check PATH` also compares every `(pool, batch)` fingerprint with
-//! a committed `BENCH_serve.json` and exits 1 on any difference (2 when
-//! the committed file is a run of the other mode). The fingerprints
+//! [--check PATH] [--help]`. The flags, the output policy and the exit
+//! codes are [`lcs_bench::gate`]'s; the default sweep is `--pools 1,4`.
+//! Every `(pool, batch)` fingerprint must equal the 1-worker one, and
+//! `--check` pins the 1-worker fingerprints to the committed file. They
 //! fold every answer's integer payload — SSSP distances, iterations and
-//! rounds included — so this pins the served outputs, not just their
-//! pool invariance. A checking run writes a file only with `--out`;
-//! otherwise the results go to `--out` or `BENCH_serve.json`.
+//! rounds included — so the gate pins the served outputs, not just
+//! their pool invariance.
 //!
 //! The amortization section times, for N ∈ {1, 4, 16, ...}:
 //!
@@ -31,7 +22,7 @@
 //! Serving N ≥ 16 mixed queries from one index must beat N one-shot
 //! runs by ≥ 5× (the construction is repaid once instead of N times).
 
-use lcs_bench::{flag_value, ArgsError};
+use lcs_bench::gate::{self, Doc, Gate, Row, Sweep};
 use lcs_congest::AggOp;
 use lcs_core::{build_index_distributed, DistributedConfig};
 use lcs_graph::{HighwayGraph, HighwayParams, NodeId, WeightedGraph};
@@ -67,17 +58,13 @@ struct Cell {
 
 impl Cell {
     fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"pool\":{},\"batch\":{},\"elapsed_s\":{:.6},",
-                "\"queries_per_s\":{:.1},\"fingerprint\":\"{:#018x}\"}}"
-            ),
-            self.pool,
-            self.batch,
-            self.elapsed_s,
-            self.batch as f64 / self.elapsed_s,
-            self.fingerprint,
-        )
+        Row::default()
+            .val("pool", self.pool)
+            .val("batch", self.batch)
+            .fixed("elapsed_s", self.elapsed_s, 6)
+            .fixed("queries_per_s", self.batch as f64 / self.elapsed_s, 1)
+            .fp("fingerprint", self.fingerprint)
+            .end()
     }
 }
 
@@ -94,150 +81,32 @@ impl Amortization {
     }
 
     fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"n_queries\":{},\"one_shot_s\":{:.6},",
-                "\"indexed_s\":{:.6},\"speedup\":{:.2}}}"
-            ),
-            self.n_queries,
-            self.one_shot_s,
-            self.indexed_s,
-            self.speedup(),
-        )
+        Row::default()
+            .val("n_queries", self.n_queries)
+            .fixed("one_shot_s", self.one_shot_s, 6)
+            .fixed("indexed_s", self.indexed_s, 6)
+            .fixed("speedup", self.speedup(), 2)
+            .end()
     }
 }
 
-const USAGE: &str = "usage: serve_throughput [--quick] [--pools K[,K2,...]] [--out PATH] \
-                     [--check PATH] [--help]";
-
-/// The parsed command line.
-#[derive(Debug, PartialEq, Eq)]
-struct Args {
-    quick: bool,
-    /// Pool sizes to sweep, 1 first.
-    pools: Vec<usize>,
-    /// Explicit output path.
-    out: Option<String>,
-    /// Committed `BENCH_serve.json` to compare fingerprints against.
-    check: Option<String>,
-}
-
-/// Parses the command line (program name excluded). `--pools 1,4` is a
-/// comma-separated sweep and `--pools 4` is shorthand for `1,4`: pool
-/// size 1 is always included as the baseline and measured first.
-/// Without `--pools` the sweep is `1,4`.
-fn parse_args(args: &[String]) -> Result<Args, ArgsError> {
-    let mut a = Args {
-        quick: false,
-        pools: vec![1],
-        out: None,
-        check: None,
-    };
-    let mut pools_given = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => a.quick = true,
-            "--pools" => {
-                pools_given = true;
-                for piece in flag_value(&mut it, "--pools")?.split(',') {
-                    match piece.trim().parse::<usize>() {
-                        Ok(k) if k >= 1 => {
-                            if !a.pools.contains(&k) {
-                                a.pools.push(k);
-                            }
-                        }
-                        _ => {
-                            return Err(ArgsError::Bad(format!(
-                                "serve_throughput: bad --pools value {piece:?}"
-                            )))
-                        }
-                    }
-                }
-            }
-            "--out" => a.out = Some(flag_value(&mut it, "--out")?.to_string()),
-            "--check" => a.check = Some(flag_value(&mut it, "--check")?.to_string()),
-            "--help" | "-h" => return Err(ArgsError::Help),
-            other => {
-                return Err(ArgsError::Bad(format!(
-                    "serve_throughput: unknown argument {other:?}"
-                )))
-            }
-        }
-    }
-    if !pools_given {
-        a.pools.push(4);
-    }
-    Ok(a)
-}
-
-/// The value of `"key":` in one line of a `BENCH_serve.json`, quotes
-/// stripped.
-fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim().trim_matches('"'))
-}
-
-/// Compares this run's `(pool, batch)` fingerprints with a committed
-/// `BENCH_serve.json`; returns one line per difference.
-fn check_fingerprints(committed: &str, cells: &[Cell]) -> Vec<String> {
-    let want: Vec<(&str, &str, &str)> = committed
-        .lines()
-        .filter_map(|line| {
-            Some((
-                json_field(line, "pool")?,
-                json_field(line, "batch")?,
-                json_field(line, "fingerprint")?,
-            ))
-        })
-        .collect();
-    let mut diffs = Vec::new();
-    for c in cells {
-        let (pool, batch) = (c.pool.to_string(), c.batch.to_string());
-        let got = format!("{:#018x}", c.fingerprint);
-        match want.iter().find(|(p, b, _)| *p == pool && *b == batch) {
-            None => diffs.push(format!(
-                "pool {pool} batch {batch}: not in the committed file"
-            )),
-            Some((_, _, w)) if *w != got => diffs.push(format!(
-                "pool {pool} batch {batch}: fingerprint {got} != committed {w}"
-            )),
-            Some(_) => {}
-        }
-    }
-    for (pool, batch, _) in &want {
-        if !cells
-            .iter()
-            .any(|c| c.pool.to_string() == *pool && c.batch.to_string() == *batch)
-        {
-            diffs.push(format!("pool {pool} batch {batch}: committed but not run"));
-        }
-    }
-    diffs
-}
+const SERVE: Gate = Gate {
+    bench: "serve_throughput",
+    default_out: "BENCH_serve.json",
+    sweep: Some(Sweep {
+        flag: "--pools",
+        key: "pool",
+        default: &[1, 4],
+    }),
+    id_key: Some("batch"),
+    extra_usage: "",
+};
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = parse_args(&raw).unwrap_or_else(|e| e.exit(USAGE));
+    let args = SERVE.from_env();
+    let committed = SERVE.committed(&args);
     let quick = args.quick;
-    let pool_sweep = args.pools.clone();
-    // Read the committed file before anything can overwrite it.
-    let committed = args.check.as_ref().map(|path| {
-        let json = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("serve_throughput --check: cannot read {path}: {e}"));
-        let mode = if quick { "quick" } else { "full" };
-        let want_mode = json_field(&json, "mode").unwrap_or("?");
-        if want_mode != mode {
-            ArgsError::Bad(format!(
-                "serve_throughput: committed {path} is a \"{want_mode}\" run; \
-                 this is a \"{mode}\" run — modes must match to compare"
-            ))
-            .exit(USAGE);
-        }
-        json
-    });
+    let pool_sweep = &args.sweep;
 
     // The constant-diameter highway workload the paper's lower bound
     // lives on: Γ vertex-disjoint paths through a D=4 core.
@@ -279,8 +148,7 @@ fn main() {
     let batch_sizes: &[usize] = if quick { &[4, 16, 64] } else { &[16, 64, 256] };
     let batch_seed = 0x5EED_BA7C;
     let mut cells: Vec<Cell> = Vec::new();
-    let mut diverged = false;
-    for &pool_size in &pool_sweep {
+    for &pool_size in pool_sweep {
         let pool = ServePool::new(Arc::clone(&index), pool_size);
         for &batch in batch_sizes {
             let queries = mixed_queries(batch, wg.graph().n());
@@ -304,23 +172,6 @@ fn main() {
             cells.push(cell);
         }
     }
-    // Serve determinism gate: every (pool > 1, batch) fingerprint must
-    // equal the 1-worker fingerprint for the same batch.
-    for cell in cells.iter().filter(|c| c.pool != 1) {
-        let base = cells
-            .iter()
-            .find(|b| b.pool == 1 && b.batch == cell.batch)
-            .expect("1-worker baseline measured first");
-        if cell.fingerprint != base.fingerprint {
-            diverged = true;
-            eprintln!(
-                "DETERMINISM VIOLATION: batch {} fingerprint {:#018x} at pool {} \
-                 != {:#018x} at pool 1",
-                cell.batch, cell.fingerprint, cell.pool, base.fingerprint
-            );
-        }
-    }
-
     // --- Amortization curve: N one-shot pipelines vs 1 build + N serves ---
     // Min-cut is excluded from this mix: its per-request tree packing
     // costs more than construction itself, so including it would
@@ -375,76 +226,37 @@ fn main() {
         amortization.push(a);
     }
 
-    let json = format!(
-        concat!(
-            "{{\n  \"bench\": \"serve_throughput\",\n  \"mode\": \"{}\",\n",
-            "  \"graph\": {{\"n\": {}, \"m\": {}, \"parts\": {}}},\n",
-            "  \"build_s\": {:.6},\n  \"index_bytes\": {},\n",
-            "  \"pool_sweep\": {:?},\n  \"determinism\": \"{}\",\n",
-            "  \"throughput\": [\n    {}\n  ],\n",
-            "  \"amortization\": [\n    {}\n  ]\n}}\n"
-        ),
-        if quick { "quick" } else { "full" },
-        wg.graph().n(),
-        wg.graph().m(),
-        partition.num_parts(),
-        build_s,
-        bytes.len(),
-        pool_sweep,
-        if diverged { "DIVERGED" } else { "ok" },
-        cells
-            .iter()
-            .map(Cell::json)
-            .collect::<Vec<_>>()
-            .join(",\n    "),
-        amortization
-            .iter()
-            .map(Amortization::json)
-            .collect::<Vec<_>>()
-            .join(",\n    "),
-    );
-    let out_path = match (&args.out, &args.check) {
-        (Some(path), _) => Some(path.as_str()),
-        (None, None) => Some("BENCH_serve.json"),
-        (None, Some(_)) => None,
-    };
-    if let Some(path) = out_path {
-        std::fs::write(path, &json).expect("write BENCH_serve.json");
-        eprintln!("wrote {path}");
-    }
-    println!("{json}");
-    let mut failed = false;
-    if diverged {
-        eprintln!("serve_throughput: served results diverged across pool sizes");
-        failed = true;
-    } else {
-        eprintln!("serve determinism check: ok");
-    }
-    if let (Some(committed), Some(path)) = (&committed, &args.check) {
-        let diffs = check_fingerprints(committed, &cells);
-        for d in &diffs {
-            eprintln!("FINGERPRINT MISMATCH vs {path}: {d}");
-        }
-        if diffs.is_empty() {
-            eprintln!("fingerprint check against {path}: ok");
-        } else {
-            eprintln!(
-                "(regenerate with `serve_throughput --quick --pools 1,4 --out {path}` if intentional)"
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    // Serve determinism gate: every (pool > 1, batch) fingerprint must
+    // equal the 1-worker fingerprint for the same batch.
+    let rows: Vec<String> = cells.iter().map(Cell::json).collect();
+    let diverged = SERVE.divergences(&rows);
+    let json = Doc::new("serve_throughput", args.mode())
+        .field(
+            "graph",
+            format_args!(
+                "{{\"n\": {}, \"m\": {}, \"parts\": {}}}",
+                wg.graph().n(),
+                wg.graph().m(),
+                partition.num_parts()
+            ),
+        )
+        .field("build_s", format_args!("{build_s:.6}"))
+        .field("index_bytes", bytes.len())
+        .field("pool_sweep", format_args!("{pool_sweep:?}"))
+        .str("determinism", gate::determinism(&diverged))
+        .rows("throughput", rows)
+        .rows("amortization", amortization.iter().map(Amortization::json))
+        .end();
+    SERVE.finish(&args, committed.as_deref(), &json, &diverged);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcs_bench::ArgsError;
 
-    fn parse(args: &[&str]) -> Result<Args, ArgsError> {
-        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    fn parse(args: &[&str]) -> Result<gate::GateArgs, ArgsError> {
+        SERVE.parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
     }
 
     #[test]
@@ -460,11 +272,11 @@ mod tests {
         ])
         .unwrap();
         assert!(a.quick);
-        assert_eq!(a.pools, vec![1, 4]);
+        assert_eq!(a.sweep, vec![1, 4]);
         assert_eq!(a.check.as_deref(), Some("BENCH_serve.json"));
         assert_eq!(a.out.as_deref(), Some("BENCH_serve.quick.json"));
-        assert_eq!(parse(&[]).unwrap().pools, vec![1, 4]);
-        assert_eq!(parse(&["--pools", "8,2"]).unwrap().pools, vec![1, 8, 2]);
+        assert_eq!(parse(&[]).unwrap().sweep, vec![1, 4]);
+        assert_eq!(parse(&["--pools", "8,2"]).unwrap().sweep, vec![1, 8, 2]);
     }
 
     #[test]
@@ -478,6 +290,7 @@ mod tests {
             &["--out"],
             &["--check"],
             &["--quik"],
+            &["--shards", "4"],
         ] {
             assert!(
                 matches!(parse(bad), Err(ArgsError::Bad(_))),
@@ -494,18 +307,29 @@ mod tests {
             elapsed_s: 0.5,
             fingerprint,
         };
-        let cells = vec![cell(1, 4, 0xAB), cell(4, 4, 0xAB)];
-        let json = format!(
-            "{{\n  \"mode\": \"quick\",\n    {},\n    {}\n}}",
-            cells[0].json(),
-            cells[1].json()
+        let doc = |cells: &[Cell]| {
+            Doc::new("serve_throughput", "quick")
+                .rows("throughput", cells.iter().map(Cell::json))
+                .end()
+        };
+        let cells = [cell(1, 4, 0xAB), cell(1, 16, 0xCD), cell(4, 4, 0xAB)];
+        let committed = doc(&cells);
+        assert!(SERVE.check_fingerprints(&committed, &committed).is_empty());
+        let rows = |cells: &[Cell]| cells.iter().map(Cell::json).collect::<Vec<_>>();
+        assert!(SERVE.divergences(&rows(&cells)).is_empty());
+        let moved = [cell(1, 4, 0xAC), cell(1, 16, 0xCD)];
+        assert_eq!(SERVE.check_fingerprints(&committed, &doc(&moved)).len(), 1);
+        let pool_moved = [cell(1, 4, 0xAB), cell(4, 4, 0xAC)];
+        assert_eq!(
+            SERVE.divergences(&rows(&pool_moved)),
+            vec!["batch 4 @ pool 4"]
         );
-        assert!(check_fingerprints(&json, &cells).is_empty());
-        let moved = vec![cell(1, 4, 0xAB), cell(4, 4, 0xAC)];
-        assert_eq!(check_fingerprints(&json, &moved).len(), 1);
-        let missing = vec![cell(1, 4, 0xAB)];
-        assert_eq!(check_fingerprints(&json, &missing).len(), 1);
-        let extra = vec![cell(1, 4, 0xAB), cell(4, 4, 0xAB), cell(1, 16, 0xCD)];
-        assert_eq!(check_fingerprints(&json, &extra).len(), 1);
+        let missing = [cell(1, 4, 0xAB)];
+        assert_eq!(
+            SERVE.check_fingerprints(&committed, &doc(&missing)).len(),
+            1
+        );
+        let extra = [cell(1, 4, 0xAB), cell(1, 16, 0xCD), cell(1, 64, 0xEF)];
+        assert_eq!(SERVE.check_fingerprints(&committed, &doc(&extra)).len(), 1);
     }
 }

@@ -5,31 +5,19 @@
 //! `BENCH_sim.json` so the engine's perf trajectory is tracked per-PR.
 //!
 //! Usage: `sim_throughput [--quick] [--shards K[,K2,...]] [--reps N]
-//! [--instances N] [--out PATH] [--check PATH] [--help]`
+//! [--out PATH] [--check PATH] [--help]`. The shared flags, the output
+//! policy and the exit codes are [`lcs_bench::gate`]'s; without
+//! `--shards` only shard count 1 runs. `--reps N` records the median
+//! elapsed time of `N` repetitions (use `--reps 3` to regenerate
+//! `BENCH_sim.json`); their statistics must be identical or the run
+//! aborts.
 //!
-//! `--quick` shrinks the workloads to CI scale. `--shards` takes a
-//! comma-separated sweep of shard counts (e.g. `--shards 1,2,4,8`);
-//! shard count 1 is always measured first as the baseline. `--reps N`
-//! repeats every workload `N` times and records the median elapsed
-//! time (recommended: `--reps 3` when regenerating `BENCH_sim.json`,
-//! so a scheduler hiccup on the bench host cannot masquerade as a
-//! regression); statistics must be identical across repetitions or the
-//! run aborts. For every workload the run records a
-//! [`RunStats::fingerprint`] and a speedup relative to the 1-shard
-//! baseline, and **exits nonzero if any sharded run's statistics
-//! diverge from the sequential run's** (the gate covers the
-//! event-driven active-set engine's sparsest workloads — `idle` and
-//! `sparse_bfs` — alongside the dense ones, so an active-set
-//! scheduling divergence fails the build).
-//!
-//! `--check PATH` also compares every workload's 1-shard
-//! `stats_fingerprint`, and its per-phase fingerprints, against a
-//! previously written `BENCH_sim.json`, and exits nonzero on any
-//! difference — so a change that moves every shard count the same way
-//! is caught too. A checking run writes a file only when `--out` is
-//! given. CI runs `--quick --shards 1,4 --check BENCH_sim.json` as the
-//! simulator's determinism and fingerprint gate. An unknown flag or a
-//! malformed value prints the accepted flags and exits 2.
+//! Every sharded run's stats and per-phase fingerprints must equal the
+//! 1-shard run's — the gate covers the sparsest active-set workloads,
+//! `idle` and `sparse_bfs`, alongside the dense ones. `--check` pins
+//! the 1-shard fingerprints to the committed file, so a change that
+//! moves every shard count the same way is caught too. CI runs
+//! `--quick --shards 1,4 --check BENCH_sim.json`.
 //!
 //! Two workloads run at **large scale** — `large_bfs` and
 //! `large_flood` on a 10⁶-node grid (40 000 nodes under `--quick`, so
@@ -37,6 +25,7 @@
 //! covering the memory-lean u32/CSR representations at the graph sizes
 //! the shortcut-quality experiments need.
 
+use lcs_bench::gate::{self, Doc, Gate, Row, Sweep};
 use lcs_bench::sim_workloads::{multi_bfs_spec, Clock, Saturate};
 use lcs_bench::{flag_value, ArgsError};
 use lcs_congest::{
@@ -101,14 +90,14 @@ struct Measurement {
     /// Wall-clock speedup over the 1-shard run of the same workload
     /// (filled in after the sweep; 1.0 for the baseline itself).
     speedup_vs_1shard: f64,
-    /// Per-phase breakdown for composed (Session) workloads:
-    /// `(label, rounds, messages, fingerprint)`; empty for
-    /// single-protocol workloads.
-    phases: Vec<(String, u64, u64, u64)>,
+    /// Per-phase breakdown of composed (Session) workloads, as
+    /// [`gate::phases`] writes it; empty for single-protocol workloads.
+    phases: String,
 }
 
 impl Measurement {
-    fn from_stats(name: &str, g: &Graph, shards: usize, stats: &RunStats, secs: f64) -> Self {
+    /// The row of a run of `g` that started at `t` and just ended.
+    fn from_stats(name: &str, g: &Graph, shards: usize, stats: &RunStats, t: Instant) -> Self {
         Measurement {
             name: name.to_string(),
             n: g.n(),
@@ -116,53 +105,28 @@ impl Measurement {
             shards,
             rounds: stats.rounds,
             messages: stats.messages,
-            elapsed_s: secs,
+            elapsed_s: t.elapsed().as_secs_f64(),
             stats_fingerprint: stats.fingerprint(),
             speedup_vs_1shard: 1.0,
-            phases: Vec::new(),
+            phases: String::new(),
         }
     }
 
     fn json(&self) -> String {
-        let phases = if self.phases.is_empty() {
-            String::new()
-        } else {
-            let body = self
-                .phases
-                .iter()
-                .map(|(label, rounds, messages, fp)| {
-                    format!(
-                        concat!(
-                            "{{\"label\":\"{}\",\"rounds\":{},",
-                            "\"messages\":{},\"fingerprint\":\"{:#018x}\"}}"
-                        ),
-                        label, rounds, messages, fp
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(",");
-            format!(",\"phases\":[{body}]")
-        };
-        format!(
-            concat!(
-                "{{\"name\":\"{}\",\"n\":{},\"m\":{},\"shards\":{},",
-                "\"rounds\":{},\"messages\":{},\"elapsed_s\":{:.6},",
-                "\"rounds_per_s\":{:.1},\"messages_per_s\":{:.1},",
-                "\"stats_fingerprint\":\"{:#018x}\",\"speedup_vs_1shard\":{:.3}{}}}"
-            ),
-            self.name,
-            self.n,
-            self.m,
-            self.shards,
-            self.rounds,
-            self.messages,
-            self.elapsed_s,
-            self.rounds as f64 / self.elapsed_s,
-            self.messages as f64 / self.elapsed_s,
-            self.stats_fingerprint,
-            self.speedup_vs_1shard,
-            phases,
-        )
+        Row::default()
+            .str("name", &self.name)
+            .val("n", self.n)
+            .val("m", self.m)
+            .val("shards", self.shards)
+            .val("rounds", self.rounds)
+            .val("messages", self.messages)
+            .fixed("elapsed_s", self.elapsed_s, 6)
+            .fixed("rounds_per_s", self.rounds as f64 / self.elapsed_s, 1)
+            .fixed("messages_per_s", self.messages as f64 / self.elapsed_s, 1)
+            .fp("stats_fingerprint", self.stats_fingerprint)
+            .fixed("speedup_vs_1shard", self.speedup_vs_1shard, 3)
+            .phases(&self.phases)
+            .end()
     }
 }
 
@@ -179,7 +143,7 @@ fn bench_flood(name: &str, g: &Graph, shards: usize) -> Measurement {
     let stats = Session::new(g, cfg_with(shards, 1_000_000))
         .run(Flood)
         .expect("flood");
-    Measurement::from_stats(name, g, shards, &stats, t.elapsed().as_secs_f64())
+    Measurement::from_stats(name, g, shards, &stats, t)
 }
 
 /// Single-source BFS on the large grid: the scale workload. Frontier
@@ -193,13 +157,7 @@ fn bench_large_bfs(g: &Graph, side: usize, shards: usize) -> Measurement {
         .run(Bfs::new(0))
         .expect("large_bfs");
     assert_eq!(out.depth() as usize, 2 * (side - 1), "grid BFS depth");
-    Measurement::from_stats(
-        "large_bfs",
-        g,
-        shards,
-        &out.stats,
-        t.elapsed().as_secs_f64(),
-    )
+    Measurement::from_stats("large_bfs", g, shards, &out.stats, t)
 }
 
 fn bench_multi_bfs(g: &Graph, instances: usize, shards: usize) -> Measurement {
@@ -208,13 +166,7 @@ fn bench_multi_bfs(g: &Graph, instances: usize, shards: usize) -> Measurement {
     let out = Session::new(g, cfg_with(shards, 10_000_000))
         .run(MultiBfs::new(spec))
         .expect("multi_bfs");
-    Measurement::from_stats(
-        "multi_bfs",
-        g,
-        shards,
-        &out.stats,
-        t.elapsed().as_secs_f64(),
-    )
+    Measurement::from_stats("multi_bfs", g, shards, &out.stats, t)
 }
 
 fn bench_multi_aggregate(g: &Graph, instances: usize, shards: usize) -> Measurement {
@@ -237,13 +189,7 @@ fn bench_multi_aggregate(g: &Graph, instances: usize, shards: usize) -> Measurem
     let out = Session::new(g, cfg_with(shards, 10_000_000))
         .run(MultiAggregate::new(parts, AggOp::Sum, true))
         .expect("multi_aggregate");
-    Measurement::from_stats(
-        "multi_aggregate",
-        g,
-        shards,
-        &out.stats,
-        t.elapsed().as_secs_f64(),
-    )
+    Measurement::from_stats("multi_aggregate", g, shards, &out.stats, t)
 }
 
 /// Composed-session workload: a sequential bfs → aggregate pipeline
@@ -261,18 +207,8 @@ fn bench_session_pipeline(g: &Graph, shards: usize) -> Measurement {
         .run(TreeAggregate::new(pos, &values, AggOp::Sum, true))
         .expect("pipeline aggregate");
     assert_eq!(res[0], Some((0..g.n() as u64).sum::<u64>()));
-    let mut m = Measurement::from_stats(
-        "session_pipeline",
-        g,
-        shards,
-        session.stats(),
-        t.elapsed().as_secs_f64(),
-    );
-    m.phases = session
-        .phases()
-        .iter()
-        .map(|p| (p.label.clone(), p.rounds, p.messages, p.fingerprint()))
-        .collect();
+    let mut m = Measurement::from_stats("session_pipeline", g, shards, session.stats(), t);
+    m.phases = gate::phases(session.phases());
     m
 }
 
@@ -292,7 +228,7 @@ fn bench_idle(g: &Graph, rounds: u64, shards: usize) -> Measurement {
         .expect("idle");
     assert_eq!(stats.rounds, rounds);
     assert_eq!(stats.messages, 0);
-    Measurement::from_stats("idle", g, shards, &stats, t.elapsed().as_secs_f64())
+    Measurement::from_stats("idle", g, shards, &stats, t)
 }
 
 /// Sparse-frontier workload: BFS down a long path. The frontier is 1–2
@@ -306,13 +242,7 @@ fn bench_sparse_bfs(n: usize, shards: usize) -> Measurement {
         .run(Bfs::new(0))
         .expect("sparse_bfs");
     assert_eq!(out.depth() as usize, n - 1);
-    Measurement::from_stats(
-        "sparse_bfs",
-        &g,
-        shards,
-        &out.stats,
-        t.elapsed().as_secs_f64(),
-    )
+    Measurement::from_stats("sparse_bfs", &g, shards, &out.stats, t)
 }
 
 /// Chaos workload: a drop×delay×crash sweep through ONE session — raw
@@ -379,18 +309,8 @@ fn bench_chaos(g: &Graph, side: usize, shards: usize) -> Measurement {
         .expect("chaos reliable bfs");
     // Reliability under drops is exact: the tree has true grid depth.
     assert_eq!(out.depth() as usize, 2 * (side - 1), "reliable BFS depth");
-    let mut m = Measurement::from_stats(
-        "chaos",
-        g,
-        shards,
-        session.stats(),
-        t.elapsed().as_secs_f64(),
-    );
-    m.phases = session
-        .phases()
-        .iter()
-        .map(|p| (p.label.clone(), p.rounds, p.messages, p.fingerprint()))
-        .collect();
+    let mut m = Measurement::from_stats("chaos", g, shards, session.stats(), t);
+    m.phases = gate::phases(session.phases());
     m
 }
 
@@ -399,130 +319,33 @@ fn bench_saturate(g: &Graph, rounds: u64, shards: usize) -> Measurement {
     let stats = Session::new(g, cfg_with(shards, 10_000_000))
         .run(Saturate::new(rounds))
         .expect("saturate");
-    Measurement::from_stats("saturate", g, shards, &stats, t.elapsed().as_secs_f64())
+    Measurement::from_stats("saturate", g, shards, &stats, t)
 }
 
-const USAGE: &str = "usage: sim_throughput [--quick] [--shards K[,K2,...]] [--reps N] \
-                     [--instances N] [--out PATH] [--check PATH] [--help]";
+const SIM: Gate = Gate {
+    bench: "sim_throughput",
+    default_out: "BENCH_sim.json",
+    sweep: Some(Sweep {
+        flag: "--shards",
+        key: "shards",
+        default: &[1],
+    }),
+    id_key: Some("name"),
+    extra_usage: "[--reps N] ",
+};
 
-/// The parsed command line.
-#[derive(Debug, PartialEq, Eq)]
-struct Args {
-    quick: bool,
-    /// Shard counts to sweep, 1 first.
-    shards: Vec<usize>,
-    reps: usize,
-    /// Multi-BFS instance count override.
-    instances: Option<usize>,
-    /// Explicit output path.
-    out: Option<String>,
-    /// Committed `BENCH_sim.json` to compare fingerprints against.
-    check: Option<String>,
-}
-
-fn count_value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<usize, ArgsError> {
-    let raw = flag_value(it, flag)?;
-    match raw.parse() {
-        Ok(k) if k >= 1 => Ok(k),
-        _ => Err(ArgsError::Bad(format!(
-            "sim_throughput: {flag} needs a positive count, got {raw:?}"
-        ))),
-    }
-}
-
-/// Parses the command line (program name excluded). `--shards 1,4` is a
-/// comma-separated sweep and `--shards 4` is shorthand for `1,4`: shard
-/// count 1 is always included as the baseline and measured first.
-fn parse_args(args: &[String]) -> Result<Args, ArgsError> {
-    let mut a = Args {
-        quick: false,
-        shards: vec![1],
-        reps: 1,
-        instances: None,
-        out: None,
-        check: None,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => a.quick = true,
-            "--shards" => {
-                for piece in flag_value(&mut it, "--shards")?.split(',') {
-                    match piece.trim().parse::<usize>() {
-                        Ok(k) if k >= 1 => {
-                            if !a.shards.contains(&k) {
-                                a.shards.push(k);
-                            }
-                        }
-                        _ => {
-                            return Err(ArgsError::Bad(format!(
-                                "sim_throughput: bad --shards value {piece:?}"
-                            )))
-                        }
-                    }
-                }
-            }
-            "--reps" => a.reps = count_value(&mut it, "--reps")?,
-            "--instances" => a.instances = Some(count_value(&mut it, "--instances")?),
-            "--out" => a.out = Some(flag_value(&mut it, "--out")?.to_string()),
-            "--check" => a.check = Some(flag_value(&mut it, "--check")?.to_string()),
-            "--help" | "-h" => return Err(ArgsError::Help),
-            other => {
-                return Err(ArgsError::Bad(format!(
-                    "sim_throughput: unknown argument {other:?}"
-                )))
-            }
+/// Parses the command line (program name excluded): the gate's flags
+/// plus `--reps N`, the repetitions per workload.
+fn parse_args(args: &[String]) -> Result<(gate::GateArgs, usize), ArgsError> {
+    let mut reps = 1;
+    let gate_args = SIM.parse_with(args, |flag, it| {
+        if flag != "--reps" {
+            return Ok(false);
         }
-    }
-    Ok(a)
-}
-
-/// The value of `"key":` in one line of a `BENCH_sim.json`, quotes
-/// stripped.
-fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim().trim_matches('"'))
-}
-
-/// Every fingerprint one `BENCH_sim.json` workload line records, in
-/// order: the stats fingerprint, then one per phase.
-fn fingerprints(line: &str) -> Vec<&str> {
-    line.split("fingerprint\":\"")
-        .skip(1)
-        .filter_map(|rest| rest.split('"').next())
-        .collect()
-}
-
-/// Compares this run's 1-shard fingerprints against a committed
-/// `BENCH_sim.json`; returns one line per difference.
-fn check_fingerprints(committed: &str, all: &[Measurement]) -> Vec<String> {
-    let want: Vec<(&str, Vec<&str>)> = committed
-        .lines()
-        .filter(|line| json_field(line, "shards") == Some("1"))
-        .filter_map(|line| Some((json_field(line, "name")?, fingerprints(line))))
-        .collect();
-    let ran: Vec<&Measurement> = all.iter().filter(|m| m.shards == 1).collect();
-    let mut diffs = Vec::new();
-    for m in &ran {
-        let json = m.json();
-        let got = fingerprints(&json);
-        match want.iter().find(|(name, _)| *name == m.name) {
-            None => diffs.push(format!("{}: not in the committed file", m.name)),
-            Some((_, w)) if *w != got => diffs.push(format!(
-                "{}: fingerprints {got:?} != committed {w:?}",
-                m.name
-            )),
-            Some(_) => {}
-        }
-    }
-    for (name, _) in &want {
-        if !ran.iter().any(|m| m.name == *name) {
-            diffs.push(format!("{name}: committed but not run"));
-        }
-    }
-    diffs
+        reps = gate::positive(flag_value(it, flag)?, flag)?;
+        Ok(true)
+    })?;
+    Ok((gate_args, reps))
 }
 
 /// Runs `f` `reps` times and keeps the median-elapsed measurement.
@@ -543,41 +366,21 @@ fn median_of(reps: usize, f: impl Fn() -> Measurement) -> Measurement {
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = parse_args(&raw).unwrap_or_else(|e| e.exit(USAGE));
-    let Args {
-        quick,
-        shards: shard_sweep,
-        reps,
-        ..
-    } = args;
-    // Read the committed file before anything can overwrite it.
-    let committed = args.check.as_ref().map(|path| {
-        let json = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("sim_throughput --check: cannot read {path}: {e}"));
-        let mode = if quick { "quick" } else { "full" };
-        let want_mode = json_field(&json, "mode").unwrap_or("?");
-        if want_mode != mode {
-            ArgsError::Bad(format!(
-                "sim_throughput: committed {path} is a \"{want_mode}\" run; \
-                 this is a \"{mode}\" run — modes must match to compare"
-            ))
-            .exit(USAGE);
-        }
-        json
-    });
+    let (args, reps) = parse_args(&gate::env_args()).unwrap_or_else(|e| e.exit(&SIM.usage()));
+    let committed = SIM.committed(&args);
+    let quick = args.quick;
 
     let side = if quick { 40 } else { 100 };
     // 10⁶ nodes at full scale; still well past any cache under --quick.
     let big_side = if quick { 200 } else { 1000 };
-    let instances = args.instances.unwrap_or(if quick { 8 } else { 32 });
+    let instances = if quick { 8 } else { 32 };
     let g = generators::grid(side, side);
     let big = generators::grid(big_side, big_side);
 
     let mut all: Vec<Measurement> = Vec::new();
-    for &k in &shard_sweep {
+    for &k in &args.sweep {
         eprintln!("== shards = {k} ==");
-        for m in [
+        for (j, mut m) in [
             median_of(reps, || bench_idle(&g, if quick { 200 } else { 1000 }, k)),
             median_of(reps, || bench_saturate(&g, if quick { 50 } else { 200 }, k)),
             median_of(reps, || bench_flood("flood", &g, k)),
@@ -590,9 +393,17 @@ fn main() {
             median_of(reps, || bench_chaos(&g, side, k)),
             median_of(reps, || bench_large_bfs(&big, big_side, k)),
             median_of(reps, || bench_flood("large_flood", &big, k)),
-        ] {
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            // Shard count 1 runs first, so `all[j]` is the baseline.
+            if k != 1 {
+                m.speedup_vs_1shard = all[j].elapsed_s / m.elapsed_s;
+            }
             eprintln!(
-                "{:>16}  n={} rounds={} messages={} elapsed={:.3}s  ({:.0} rounds/s, {:.0} msgs/s)",
+                "{:>16}  n={} rounds={} messages={} elapsed={:.3}s  ({:.0} rounds/s, \
+                 {:.0} msgs/s, {:.2}x vs 1 shard)",
                 m.name,
                 m.n,
                 m.rounds,
@@ -600,127 +411,51 @@ fn main() {
                 m.elapsed_s,
                 m.rounds as f64 / m.elapsed_s,
                 m.messages as f64 / m.elapsed_s,
+                m.speedup_vs_1shard,
             );
             all.push(m);
         }
     }
 
-    // Fill in speedups against the 1-shard baseline of each workload.
-    let baselines: Vec<(String, f64)> = all
-        .iter()
-        .filter(|m| m.shards == 1)
-        .map(|m| (m.name.clone(), m.elapsed_s))
-        .collect();
-    for m in &mut all {
-        if let Some((_, base)) = baselines.iter().find(|(n, _)| *n == m.name) {
-            m.speedup_vs_1shard = base / m.elapsed_s;
-        }
-    }
-    for m in all.iter().filter(|m| m.shards != 1) {
-        eprintln!(
-            "speedup {:>16} @ {} shards: {:.2}x",
-            m.name, m.shards, m.speedup_vs_1shard
-        );
-    }
-
-    // Shard determinism gate: every sharded run's stats fingerprint
-    // must equal the sequential run's for the same workload.
-    let mut diverged = false;
-    for m in all.iter().filter(|m| m.shards != 1) {
-        let base = all
-            .iter()
-            .find(|b| b.shards == 1 && b.name == m.name)
-            .expect("baseline measured first");
-        if m.stats_fingerprint != base.stats_fingerprint {
-            diverged = true;
-            eprintln!(
-                "DETERMINISM VIOLATION: {} stats fingerprint {:#018x} at {} shards \
-                 != {:#018x} at 1 shard",
-                m.name, m.stats_fingerprint, m.shards, base.stats_fingerprint
-            );
-        }
-        if m.phases != base.phases {
-            diverged = true;
-            eprintln!(
-                "DETERMINISM VIOLATION: {} per-phase breakdown at {} shards \
-                 differs from the 1-shard run",
-                m.name, m.shards
-            );
-        }
-    }
-
-    let body = all
-        .iter()
-        .map(Measurement::json)
-        .collect::<Vec<_>>()
-        .join(",\n    ");
-    let json = format!(
-        concat!(
-            "{{\n  \"bench\": \"sim_throughput\",\n  \"mode\": \"{}\",\n",
-            "  \"shard_sweep\": {:?},\n  \"determinism\": \"{}\",\n",
-            "  \"workloads\": [\n    {}\n  ]\n}}\n"
-        ),
-        if quick { "quick" } else { "full" },
-        shard_sweep,
-        if diverged { "DIVERGED" } else { "ok" },
-        body
-    );
-    // A checking run never overwrites the file it compares against
-    // unless an output path is explicit.
-    let out_path = match (&args.out, &committed) {
-        (Some(path), _) => Some(path.as_str()),
-        (None, None) => Some("BENCH_sim.json"),
-        (None, Some(_)) => None,
-    };
-    if let Some(path) = out_path {
-        std::fs::write(path, &json).expect("write BENCH_sim.json");
-        eprintln!("wrote {path}");
-    }
-    // A machine-readable copy for CI logs.
-    println!("{json}");
-    let mut failed = false;
-    if diverged {
-        eprintln!("sim_throughput: sharded RunStats diverged from the sequential engine");
-        failed = true;
-    } else {
-        eprintln!("shard determinism check: ok");
-    }
-    if let (Some(committed), Some(path)) = (&committed, &args.check) {
-        let diffs = check_fingerprints(committed, &all);
-        for d in &diffs {
-            eprintln!("FINGERPRINT MISMATCH vs {path}: {d}");
-        }
-        if diffs.is_empty() {
-            eprintln!("fingerprint check against {path}: ok");
-        } else {
-            eprintln!("(regenerate with `sim_throughput --quick --shards 1,4 --out {path}` if intentional)");
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    // Shard determinism gate: every sharded run's stats fingerprint and
+    // phase breakdown must equal the sequential run's.
+    let rows: Vec<String> = all.iter().map(Measurement::json).collect();
+    let diverged = SIM.divergences(&rows);
+    let json = Doc::new("sim_throughput", args.mode())
+        .field("shard_sweep", format_args!("{:?}", args.sweep))
+        .str("determinism", gate::determinism(&diverged))
+        .rows("workloads", rows)
+        .end();
+    SIM.finish(&args, committed.as_deref(), &json, &diverged);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<Args, ArgsError> {
+    fn parse(args: &[&str]) -> Result<(gate::GateArgs, usize), ArgsError> {
         parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
     }
 
     #[test]
     fn parses_the_ci_command_line() {
-        let a = parse(&["--quick", "--shards", "4", "--check", "BENCH_sim.json"]).unwrap();
+        let (a, reps) = parse(&[
+            "--quick",
+            "--shards",
+            "1,4",
+            "--check",
+            "BENCH_sim.json",
+            "--out",
+            "BENCH_sim.quick.json",
+        ])
+        .unwrap();
         assert!(a.quick);
-        assert_eq!(a.shards, vec![1, 4]);
-        assert_eq!(a.reps, 1);
+        assert_eq!((a.sweep, reps), (vec![1, 4], 1));
         assert_eq!(a.check.as_deref(), Some("BENCH_sim.json"));
-        assert_eq!(a.out, None);
-        let a = parse(&["--shards", "2,1,8", "--reps", "3", "--instances", "5"]).unwrap();
-        assert_eq!(a.shards, vec![1, 2, 8]);
-        assert_eq!((a.reps, a.instances), (3, Some(5)));
+        assert_eq!(a.out.as_deref(), Some("BENCH_sim.quick.json"));
+        let (a, reps) = parse(&["--shards", "2,1,8", "--reps", "3"]).unwrap();
+        assert_eq!((a.sweep, reps), (vec![1, 2, 8], 3));
+        assert_eq!(parse(&[]).unwrap().0.sweep, vec![1]);
     }
 
     #[test]
@@ -731,8 +466,10 @@ mod tests {
             &["--shards", "--quick"],
             &["--shards", "0"],
             &["--reps", "x"],
+            &["--reps", "0"],
             &["--check"],
             &["--quik"],
+            &["--instances", "5"],
         ] {
             assert!(
                 matches!(parse(bad), Err(ArgsError::Bad(_))),
@@ -743,30 +480,41 @@ mod tests {
 
     #[test]
     fn check_reads_back_what_the_bench_writes() {
-        let mut m = Measurement::from_stats(
-            "pipe",
-            &generators::path(3),
-            1,
-            &RunStats::new(&generators::path(3)),
-            1.0,
-        );
-        m.phases = vec![("bfs".into(), 3, 4, 0xAB), ("agg".into(), 5, 6, 0xCD)];
+        let g = generators::path(3);
+        let mut m = Measurement::from_stats("pipe", &g, 1, &RunStats::new(&g), Instant::now());
+        let phase = |label: &str, rounds| {
+            let mut s = RunStats::new(&g);
+            (s.label, s.rounds) = (label.into(), rounds);
+            s
+        };
+        m.phases = gate::phases(&[phase("bfs", 3), phase("agg", 5)]);
         let mut sharded = m.clone();
         sharded.shards = 4;
-        let json = format!(
-            "{{\n  \"mode\": \"quick\",\n    {},\n    {}\n}}",
-            m.json(),
-            sharded.json()
-        );
-        assert!(check_fingerprints(&json, &[m.clone()]).is_empty());
+        let doc = |rows: &[&Measurement]| {
+            Doc::new("sim_throughput", "quick")
+                .rows("workloads", rows.iter().map(|m| m.json()))
+                .end()
+        };
+        let committed = doc(&[&m, &sharded]);
+        assert!(SIM.check_fingerprints(&committed, &doc(&[&m])).is_empty());
+        assert!(SIM.divergences(&[m.json(), sharded.json()]).is_empty());
         let mut moved = m.clone();
         moved.stats_fingerprint ^= 1;
-        assert_eq!(check_fingerprints(&json, &[moved]).len(), 1);
+        assert_eq!(SIM.check_fingerprints(&committed, &doc(&[&moved])).len(), 1);
         let mut phase_moved = m.clone();
-        phase_moved.phases[1].3 ^= 1;
-        assert_eq!(check_fingerprints(&json, &[phase_moved]).len(), 1);
+        phase_moved.phases = gate::phases(&[phase("bfs", 3), phase("agg", 6)]);
+        assert_eq!(
+            SIM.check_fingerprints(&committed, &doc(&[&phase_moved]))
+                .len(),
+            1
+        );
+        phase_moved.shards = 4;
+        assert_eq!(SIM.divergences(&[m.json(), phase_moved.json()]).len(), 1);
         let mut renamed = m;
         renamed.name = "other".into();
-        assert_eq!(check_fingerprints(&json, &[renamed]).len(), 2);
+        assert_eq!(
+            SIM.check_fingerprints(&committed, &doc(&[&renamed])).len(),
+            2
+        );
     }
 }

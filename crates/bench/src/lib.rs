@@ -13,6 +13,7 @@
 
 #![warn(missing_docs)]
 
+pub mod gate;
 pub mod quality;
 
 use lcs_graph::{HighwayGraph, NodeId};

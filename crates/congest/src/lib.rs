@@ -48,6 +48,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod accounting;
 mod arena;

@@ -110,6 +110,8 @@ struct RawJob {
 // SAFETY: `RawJob` is two plain words; the *use* of the pointer is
 // governed by the phase protocol (module docs), not by these impls.
 unsafe impl Send for RawJob {}
+// SAFETY: as for `Send`: sharing the words lets every worker read the
+// same job, and the pointee is `Sync` (`raw_job_of` requires it).
 unsafe impl Sync for RawJob {}
 
 unsafe fn call_thunk<F: Fn(usize, u64) + Sync>(data: *const (), worker: usize, round: u64) {
@@ -215,6 +217,9 @@ impl Pool {
                     // coordinator keeps the phase frame alive until
                     // after the done barrier (module docs).
                     let job = unsafe { &*shared.job.load(Ordering::Relaxed) };
+                    // SAFETY: `job` was built by `raw_job_of`, so `call`
+                    // is the thunk for `data`'s concrete closure type,
+                    // which stays alive until the done barrier (above).
                     unsafe { (job.call)(job.data, index, round) };
                     shared.done.wait();
                 })
@@ -367,7 +372,13 @@ impl Pool {
 /// sharing sound).
 #[derive(Clone, Copy)]
 struct SendPtr<S>(*mut S);
+// SAFETY: moving the pointer to a worker moves access to `S: Send`
+// values; which worker may touch which element is the disjoint-index
+// protocol's job, not the pointer's.
 unsafe impl<S: Send> Send for SendPtr<S> {}
+// SAFETY: shared copies only ever reach disjoint elements (worker `w`
+// touches `states[w]` alone), so no `S` is accessed from two threads
+// at once and `S: Send` suffices.
 unsafe impl<S: Send> Sync for SendPtr<S> {}
 
 impl<S> SendPtr<S> {

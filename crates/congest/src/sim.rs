@@ -1059,12 +1059,12 @@ fn run_shard<P: Protocol>(
     // the dirty lists so `dirty_in` names this round's inbound slots.
     // Every dirty slot is occupied (sends are the only writer and the
     // overflow check rules out duplicates), so payload drops are exact.
-    // SAFETY: own-span slots of the write buffer (invariant 1);
-    // `occ_nxt[a]` was set by the send that initialized `nxt[a]`, and
-    // dirty entries are own-range arc ids, so `a < num_arcs`.
     for &a in &core.dirty_in {
         let a = a as usize;
         debug_assert!(a < occ_nxt.len());
+        // SAFETY: own-span slots of the write buffer (invariant 1);
+        // `occ_nxt[a]` was set by the send that initialized `nxt[a]`, and
+        // dirty entries are own-range arc ids, so `a < num_arcs`.
         unsafe {
             *occ_nxt.get_unchecked(a).0.get() = false;
             if std::mem::needs_drop::<P::Msg>() {
@@ -1263,6 +1263,8 @@ fn run_shard<P: Protocol>(
             // SAFETY: this shard's own arc span of the write buffer
             // (invariant 1); the borrow ends with `ctx`.
             let own = unsafe { own_slots_mut(&nxt[range.start..range.end]) };
+            // SAFETY: the occupancy bytes of the same own span, under
+            // the same exclusive access.
             let occ = unsafe { own_occ_mut(&occ_nxt[range.start..range.end]) };
             let mut ctx = RoundCtx {
                 node: v as NodeId,
@@ -1412,6 +1414,8 @@ fn run_shard_dense<P: Protocol>(
             // SAFETY: this shard's own arc span of the write buffer
             // (invariant 1); the borrow ends with `ctx`.
             let own = unsafe { own_slots_mut(&nxt[range.start..range.end]) };
+            // SAFETY: the occupancy bytes of the same own span, under
+            // the same exclusive access.
             let occ = unsafe { own_occ_mut(&occ_nxt[range.start..range.end]) };
             let mut ctx = RoundCtx {
                 node: v as NodeId,
@@ -1669,12 +1673,13 @@ pub(crate) fn run_phase<P: Protocol + Sync>(
         let buf_in = &bufs[(last % 2) as usize];
         let buf_out = &bufs[((last + 1) % 2) as usize];
         for w in &workers {
-            // SAFETY: the pool has stopped; this thread has exclusive
-            // access, and every dirty slot is occupied (wipe protocol).
             for &a in &w.sh.core.dirty_in {
+                // SAFETY: the pool has stopped; this thread has exclusive
+                // access, and every dirty slot is occupied (wipe protocol).
                 unsafe { (*buf_in[a as usize].0.get()).assume_init_drop() };
             }
             for &a in &w.sh.core.dirty_out {
+                // SAFETY: as above, for the slots written in the last round.
                 unsafe { (*buf_out[a as usize].0.get()).assume_init_drop() };
             }
         }

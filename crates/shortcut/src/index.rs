@@ -143,7 +143,11 @@ impl ShortcutIndex {
     ///
     /// Panics if `weights.len() != graph.m()` or the shortcut set's
     /// part count differs from the partition's (construction-bug
-    /// class, same contract as [`AggregationSetup::build`]).
+    /// class, same contract as [`AggregationSetup::build`]), or if the
+    /// graph has more than `2·m + 1 + (part members)` nodes: a node
+    /// that is neither an edge endpoint nor a part member takes no
+    /// bytes in the file, so [`from_bytes`](Self::from_bytes) refuses
+    /// node counts past that bound.
     pub fn freeze(
         graph: Graph,
         weights: Vec<u64>,
@@ -152,6 +156,13 @@ impl ShortcutIndex {
         meta: IndexMeta,
     ) -> Self {
         assert_eq!(weights.len(), graph.m(), "one weight per edge");
+        let members: usize = partition.parts().iter().map(Vec::len).sum();
+        assert!(
+            graph.n() <= 2 * graph.m() + 1 + members,
+            "{} nodes, but only {} edges and {members} part members",
+            graph.n(),
+            graph.m()
+        );
         let setup = AggregationSetup::build(&graph, &partition, &shortcuts);
         ShortcutIndex {
             meta,
@@ -305,7 +316,10 @@ impl ShortcutIndex {
         };
 
         let meta = parse_meta(find(section::META)?)?;
-        let graph = parse_graph(find(section::GRAPH)?)?;
+        // Every part member takes a u32 of the partition section, so its
+        // length bounds the members that may back the node count.
+        let member_words = find(section::PARTITION)?.len() / 4;
+        let graph = parse_graph(find(section::GRAPH)?, member_words)?;
         let weights = parse_weights(find(section::WEIGHTS)?, graph.m())?;
         let partition = parse_partition(find(section::PARTITION)?, &graph)?;
         let (shortcuts, trees, tree_congestion, tree_depth) = {
@@ -563,12 +577,20 @@ fn parse_meta(body: &[u8]) -> Result<IndexMeta, IndexError> {
     })
 }
 
-fn parse_graph(body: &[u8]) -> Result<Graph, IndexError> {
+/// Parses the graph section. `n` may not exceed `2·m + 1 + member_words`
+/// (the bound [`ShortcutIndex::freeze`] asserts), so a hostile node
+/// count cannot make the parser allocate more than the file backs.
+fn parse_graph(body: &[u8], member_words: usize) -> Result<Graph, IndexError> {
     let mut c = Cursor::new(body);
     let n = c.u32()? as usize;
     let m = c.u32()? as usize;
     if m > body.len() / 8 {
         return Err(IndexError::Truncated);
+    }
+    if n > 2 * m + 1 + member_words {
+        return Err(IndexError::Malformed(format!(
+            "{n} nodes, but only {m} edges and at most {member_words} part members"
+        )));
     }
     let mut edges = Vec::with_capacity(m);
     for _ in 0..m {
